@@ -17,12 +17,7 @@
 //     TimeBasis::kInvariant, so refolds happen only when injected and every
 //     absorbed max move is a rescale).
 //
-// Flags: --seed=N        first failpoint seed (default 101)
-//        --seeds=N       number of consecutive seeds to run (default 3)
-//        --sessions=N    replayed sessions (default 8)
-//        --score_every=N mid-session score cadence in edges (default 4)
-//        --faults=SPEC   TPGNN_FAILPOINTS-syntax override of the default mix
-//        --json=PATH     output (default BENCH_chaos.json)
+// --help lists every flag; an unknown flag or a malformed value exits 2.
 
 #include <algorithm>
 #include <cstdint>
@@ -43,6 +38,7 @@
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace core = tpgnn::core;
@@ -63,24 +59,6 @@ constexpr char kDefaultFaults[] =
     "server.dispatch=0.02:delay:200,pool.acquire=0.2:alloc_fail,"
     "engine.score_enqueue=0.05:return_error,shard.begin=0.1:return_error,"
     "shard.score=0.05:return_error,shard.rescale=0.1:return_error";
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
 
 core::TpGnnConfig SmallConfig() {
   core::TpGnnConfig config;
@@ -357,15 +335,26 @@ SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t first_seed =
-      static_cast<uint64_t>(FlagInt(argc, argv, "seed", 101));
-  const int64_t num_seeds = FlagInt(argc, argv, "seeds", 3);
-  const int64_t sessions = FlagInt(argc, argv, "sessions", 8);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 4);
-  const std::string faults =
-      FlagValue(argc, argv, "faults", kDefaultFaults);
-  const std::string json_path =
-      FlagValue(argc, argv, "json", "BENCH_chaos.json");
+  int64_t seed = 101;
+  int64_t num_seeds = 3;
+  int64_t sessions = 8;
+  int64_t score_every = 4;
+  std::string faults = kDefaultFaults;
+  std::string json_path = "BENCH_chaos.json";
+  tpgnn::Flags flags("bench_chaos",
+                     "Replays traffic through a server under injected "
+                     "faults and checks the fault invariants.");
+  flags.Add("seed", &seed, "first failpoint seed");
+  flags.Add("seeds", &num_seeds, "number of consecutive seeds to run");
+  flags.Add("sessions", &sessions, "replayed sessions");
+  flags.Add("score_every", &score_every, "mid-session score cadence in edges");
+  flags.Add("faults", &faults,
+            "TPGNN_FAILPOINTS-syntax override of the default mix");
+  flags.Add("json", &json_path, "output path");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
+  const uint64_t first_seed = static_cast<uint64_t>(seed);
 
   tpgnn::graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), sessions, /*seed=*/19);

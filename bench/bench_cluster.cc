@@ -15,17 +15,11 @@
 //   * with --kill_backend=1, the router must actually observe the
 //     failover (backend_failovers >= 1) and recover the rejoined backend.
 //
-// Flags: --cluster_sizes=1,2,4  cluster sizes to sweep (default "1,2,4")
-//        --sessions=N           replayed sessions per run (default 48)
-//        --score_every=N        mid-session score cadence (default 8)
-//        --connections=N        client connections/threads (default 4)
-//        --batch=N              events per INGEST_BATCH (default 48)
-//        --kill_backend=0|1     kill+restart a backend mid-run at the
-//                               largest swept size (default 0)
-//        --json=PATH            output (default BENCH_cluster.json)
+// --help lists every flag; an unknown flag or a malformed value exits 2.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +42,7 @@
 #include "net/server.h"
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace cluster = tpgnn::cluster;
@@ -68,32 +63,19 @@ core::TpGnnConfig BenchConfig() {
   return config;
 }
 
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
-
+// "1,2,4" -> {1, 2, 4}; empty when any item is not a positive integer.
 std::vector<int> ParseSizes(const std::string& csv) {
   std::vector<int> sizes;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      sizes.push_back(std::stoi(item));
+    int size = 0;
+    const char* end = item.data() + item.size();
+    const auto [ptr, error] = std::from_chars(item.data(), end, size);
+    if (error != std::errc() || ptr != end || size <= 0) {
+      return {};
     }
+    sizes.push_back(size);
   }
   return sizes;
 }
@@ -430,19 +412,33 @@ RunResult RunCluster(int num_backends, bool kill,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<int> sizes =
-      ParseSizes(FlagValue(argc, argv, "cluster_sizes", "1,2,4"));
-  const int64_t sessions = FlagInt(argc, argv, "sessions", 48);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 8);
-  const int64_t connections = FlagInt(argc, argv, "connections", 4);
-  const int64_t batch = FlagInt(argc, argv, "batch", 48);
-  const bool kill_backend = FlagInt(argc, argv, "kill_backend", 0) != 0;
-  const std::string json_path =
-      FlagValue(argc, argv, "json", "BENCH_cluster.json");
+  std::string cluster_sizes = "1,2,4";
+  int64_t sessions = 48;
+  int64_t score_every = 8;
+  int64_t connections = 4;
+  int64_t batch = 48;
+  int64_t kill = 0;
+  std::string json_path = "BENCH_cluster.json";
+  tpgnn::Flags flags("bench_cluster",
+                     "Sweeps in-process cluster sizes behind a Router.");
+  flags.Add("cluster_sizes", &cluster_sizes, "cluster sizes to sweep");
+  flags.Add("sessions", &sessions, "replayed sessions per run");
+  flags.Add("score_every", &score_every, "mid-session score cadence");
+  flags.Add("connections", &connections, "client connections/threads");
+  flags.Add("batch", &batch, "events per INGEST_BATCH");
+  flags.Add("kill_backend", &kill,
+            "1 = kill and restart a backend mid-run at the largest size");
+  flags.Add("json", &json_path, "output path");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
+  const std::vector<int> sizes = ParseSizes(cluster_sizes);
   if (sizes.empty()) {
-    std::fprintf(stderr, "usage: bench_cluster --cluster_sizes=1,2,4 ...\n");
+    std::fprintf(stderr, "bench_cluster: bad --cluster_sizes\n%s",
+                 flags.Usage().c_str());
     return 2;
   }
+  const bool kill_backend = kill != 0;
 
   tpgnn::graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), sessions, /*seed=*/17);

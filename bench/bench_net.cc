@@ -17,15 +17,8 @@
 //   * score latency — send of the batch carrying a Score to arrival of its
 //     SCORE_RESULT (queueing + micro-batching + scoring + return trip).
 //
-// Flags: --host=A --port=N    server address (port required)
-//        --connections=N      client connections/threads (default 4)
-//        --sessions=N         replayed sessions (default 60)
-//        --score_every=N      mid-session score cadence in edges (default 8)
-//        --batch=N            events per INGEST_BATCH frame (default 64)
-//        --json=PATH          output (default BENCH_net.json)
-//        --shutdown=0|1       send SHUTDOWN when done (default 0)
-//        --parity_sample=N    sessions re-replayed for parity (default 5)
-// Exits nonzero when no session was scored, when the parity sample check
+// --help lists every flag. Exits 2 on an unknown flag or a malformed value;
+// exits nonzero when no session was scored, when the parity sample check
 // could not run, when any re-replayed score differs bitwise from the load
 // phase, or when the server reported protocol errors (CI smoke contract).
 
@@ -45,6 +38,7 @@
 #include "net/client.h"
 #include "serve/metrics.h"
 #include "serve/replay.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace data = tpgnn::data;
@@ -52,24 +46,6 @@ namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
 
 namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
 
 // (session_id, edges_scored) -> logit from the load phase; scoring is a
 // pure function of the session's event prefix, so a re-replay of the same
@@ -291,20 +267,37 @@ bool ExtractJsonInt(const std::string& json, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string host = FlagValue(argc, argv, "host", "127.0.0.1");
-  const int64_t port = FlagInt(argc, argv, "port", 0);
-  const int64_t connections = FlagInt(argc, argv, "connections", 4);
-  const int64_t sessions = FlagInt(argc, argv, "sessions", 60);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 8);
-  const int64_t batch = FlagInt(argc, argv, "batch", 64);
-  const std::string json_path =
-      FlagValue(argc, argv, "json", "BENCH_net.json");
-  const bool shutdown_server = FlagInt(argc, argv, "shutdown", 0) != 0;
-  const int64_t parity_sample = FlagInt(argc, argv, "parity_sample", 5);
+  std::string host = "127.0.0.1";
+  int64_t port = 0;
+  int64_t connections = 4;
+  int64_t sessions = 60;
+  int64_t score_every = 8;
+  int64_t batch = 64;
+  std::string json_path = "BENCH_net.json";
+  int64_t shutdown = 0;
+  int64_t parity_sample = 5;
+  tpgnn::Flags flags("bench_net",
+                     "Drives a live serve_server or serve_router with "
+                     "replayed traffic.");
+  flags.Add("host", &host, "server address");
+  flags.Add("port", &port, "server port (required)");
+  flags.Add("connections", &connections, "client connections/threads");
+  flags.Add("sessions", &sessions, "replayed sessions");
+  flags.Add("score_every", &score_every, "mid-session score cadence in edges");
+  flags.Add("batch", &batch, "events per INGEST_BATCH frame");
+  flags.Add("json", &json_path, "output path");
+  flags.Add("shutdown", &shutdown, "1 = send SHUTDOWN when done");
+  flags.Add("parity_sample", &parity_sample,
+            "sessions re-replayed for parity");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
   if (port <= 0) {
-    std::fprintf(stderr, "usage: bench_net --port=N [--host=A] ...\n");
+    std::fprintf(stderr, "bench_net: --port is required\n%s",
+                 flags.Usage().c_str());
     return 2;
   }
+  const bool shutdown_server = shutdown != 0;
 
   // Held-out seed, same generator family as the quickstart training set.
   tpgnn::graph::GraphDataset dataset =

@@ -10,7 +10,7 @@
 //
 // --save_checkpoint writes the trained parameters plus a config metadata
 // block (nn/checkpoint.h version 2); --load_checkpoint restores a snapshot
-// and skips training.
+// and skips training. --help lists the flags; an unknown one exits 2.
 
 #include <cmath>
 #include <cstdio>
@@ -22,6 +22,7 @@
 #include "graph/temporal_graph.h"
 #include "nn/checkpoint.h"
 #include "tensor/ops.h"
+#include "util/flags.h"
 
 namespace core = tpgnn::core;
 namespace data = tpgnn::data;
@@ -29,25 +30,19 @@ namespace eval = tpgnn::eval;
 namespace graph = tpgnn::graph;
 namespace nn = tpgnn::nn;
 
-namespace {
-
-// Value of a `--name=value` flag, or empty if absent.
-std::string FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::string save_path = FlagValue(argc, argv, "save_checkpoint");
-  const std::string load_path = FlagValue(argc, argv, "load_checkpoint");
+  std::string save_path;
+  std::string load_path;
+  tpgnn::Flags flags("quickstart",
+                     "Trains TP-GNN on a small synthetic dataset and "
+                     "classifies a hand-built session.");
+  flags.Add("save_checkpoint", &save_path,
+            "write the trained snapshot here");
+  flags.Add("load_checkpoint", &load_path,
+            "restore this snapshot instead of training");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
 
   // 1. A CTDN is a set of nodes with features plus timestamped directed
   //    edges (Definition 1). Here: a five-event log session.

@@ -12,10 +12,7 @@
 // no session was scored or the snapshot is rejected, so CI can use a run as
 // a smoke test.
 //
-// Flags: --checkpoint=PATH  snapshot to serve (default: none)
-//        --sessions=N       replayed sessions (default 40)
-//        --score_every=N    mid-session score cadence in edges (default 8)
-//        --shards=N         session shards (default 4)
+// --help lists every flag; an unknown flag or a malformed value exits 2.
 
 #include <cstdio>
 #include <string>
@@ -25,39 +22,28 @@
 #include "data/datasets.h"
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace core = tpgnn::core;
 namespace data = tpgnn::data;
 namespace serve = tpgnn::serve;
 
-namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::string checkpoint = FlagValue(argc, argv, "checkpoint", "");
-  const int64_t num_sessions = FlagInt(argc, argv, "sessions", 40);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 8);
-  const int64_t num_shards = FlagInt(argc, argv, "shards", 4);
+  std::string checkpoint;
+  int64_t num_sessions = 40;
+  int64_t score_every = 8;
+  int64_t num_shards = 4;
+  tpgnn::Flags flags("serve_demo",
+                     "Replays a synthetic event stream through the "
+                     "InferenceEngine.");
+  flags.Add("checkpoint", &checkpoint, "snapshot to serve (empty: untrained)");
+  flags.Add("sessions", &num_sessions, "replayed sessions");
+  flags.Add("score_every", &score_every, "mid-session score cadence in edges");
+  flags.Add("shards", &num_shards, "session shards");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
 
   // The engine config must match the snapshot's; both use the quickstart's
   // paper-default SUM configuration.

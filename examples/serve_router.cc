@@ -16,12 +16,9 @@
 // identities, so keep the flag order stable across router restarts to keep
 // session placement stable.
 //
-// Flags: --backends=H:P,H:P   backend addresses (required)
-//        --port=N             client-facing TCP port, 0 = ephemeral
-//                             (default 7471)
-//        --port_file=PATH     write the bound port here after listen
-//        --vnodes=N           virtual nodes per backend (default 64)
+// --help lists every flag; an unknown flag or a malformed value exits 2.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -29,6 +26,7 @@
 #include <vector>
 
 #include "cluster/router.h"
+#include "util/flags.h"
 
 namespace cluster = tpgnn::cluster;
 
@@ -40,24 +38,6 @@ void HandleSignal(int) {
   if (g_router != nullptr) {
     g_router->RequestShutdown();  // Async-signal-safe: atomic + pipe write.
   }
-}
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
 }
 
 // "host:port,host:port" -> configs named b0, b1, ... in flag order.
@@ -72,15 +52,18 @@ bool ParseBackends(const std::string& csv,
     const std::string item = csv.substr(start, end - start);
     if (!item.empty()) {
       const size_t colon = item.rfind(':');
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 == item.size()) {
+      const std::string port =
+          colon == std::string::npos ? "" : item.substr(colon + 1);
+      cluster::BackendConfig config;
+      const auto [end_of_port, error] =
+          std::from_chars(port.data(), port.data() + port.size(), config.port);
+      if (colon == 0 || port.empty() || error != std::errc() ||
+          end_of_port != port.data() + port.size()) {
         std::fprintf(stderr, "bad backend address: %s\n", item.c_str());
         return false;
       }
-      cluster::BackendConfig config;
       config.name = "b" + std::to_string(configs->size());
       config.host = item.substr(0, colon);
-      config.port = std::stoi(item.substr(colon + 1));
       configs->push_back(std::move(config));
     }
     start = end + 1;
@@ -91,16 +74,26 @@ bool ParseBackends(const std::string& csv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string backends_csv = FlagValue(argc, argv, "backends", "");
-  const std::string port_file = FlagValue(argc, argv, "port_file", "");
-  const int64_t port = FlagInt(argc, argv, "port", 7471);
-  const int64_t vnodes = FlagInt(argc, argv, "vnodes", 64);
+  std::string backends_csv;
+  std::string port_file;
+  int64_t port = 7471;
+  int64_t vnodes = 64;
+  tpgnn::Flags flags("serve_router",
+                     "Routes the TP-GNN wire protocol onto serve_server "
+                     "backends.");
+  flags.Add("backends", &backends_csv,
+            "backend addresses HOST:PORT,HOST:PORT (required)");
+  flags.Add("port", &port, "client-facing TCP port, 0 = ephemeral");
+  flags.Add("port_file", &port_file, "write the bound port here after listen");
+  flags.Add("vnodes", &vnodes, "virtual nodes per backend");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
 
   std::vector<cluster::BackendConfig> configs;
-  if (backends_csv.empty() || !ParseBackends(backends_csv, &configs)) {
-    std::fprintf(stderr,
-                 "usage: serve_router --backends=HOST:PORT,HOST:PORT "
-                 "[--port=N] [--port_file=PATH]\n");
+  if (!ParseBackends(backends_csv, &configs)) {
+    std::fprintf(stderr, "serve_router: --backends needs HOST:PORT[,...]\n%s",
+                 flags.Usage().c_str());
     return 2;
   }
 

@@ -13,12 +13,7 @@
 // --port_file=PATH to have the bound port written there so scripts (and the
 // CI smoke step) can discover it without racing on a fixed port.
 //
-// Flags: --checkpoint=PATH   snapshot to serve (default: none)
-//        --port=N            TCP port, 0 = ephemeral (default 7471)
-//        --port_file=PATH    write the bound port here after listen
-//        --shards=N          session shards (default 4)
-//        --max_pending=N     bounded score-queue depth (default 256)
-//        --max_batch=N       micro-batch drained per engine pump (default 64)
+// --help lists every flag; an unknown flag or a malformed value exits 2.
 
 #include <csignal>
 #include <cstdio>
@@ -28,6 +23,7 @@
 #include "core/model.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
+#include "util/flags.h"
 
 namespace core = tpgnn::core;
 namespace net = tpgnn::net;
@@ -43,33 +39,27 @@ void HandleSignal(int) {
   }
 }
 
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string checkpoint = FlagValue(argc, argv, "checkpoint", "");
-  const std::string port_file = FlagValue(argc, argv, "port_file", "");
-  const int64_t port = FlagInt(argc, argv, "port", 7471);
-  const int64_t shards = FlagInt(argc, argv, "shards", 4);
-  const int64_t max_pending = FlagInt(argc, argv, "max_pending", 256);
-  const int64_t max_batch = FlagInt(argc, argv, "max_batch", 64);
+  std::string checkpoint;
+  std::string port_file;
+  int64_t port = 7471;
+  int64_t shards = 4;
+  int64_t max_pending = 256;
+  int64_t max_batch = 64;
+  tpgnn::Flags flags("serve_server",
+                     "Serves the TP-GNN wire protocol over TCP until SHUTDOWN "
+                     "or SIGINT/SIGTERM.");
+  flags.Add("checkpoint", &checkpoint, "snapshot to serve (empty: untrained)");
+  flags.Add("port", &port, "TCP port, 0 = ephemeral");
+  flags.Add("port_file", &port_file, "write the bound port here after listen");
+  flags.Add("shards", &shards, "session shards");
+  flags.Add("max_pending", &max_pending, "bounded score-queue depth");
+  flags.Add("max_batch", &max_batch, "micro-batch drained per engine pump");
+  if (int exit_code = 0; !flags.Parse(argc, argv, &exit_code)) {
+    return exit_code;
+  }
 
   // Must match the snapshot's config; both use the quickstart's
   // paper-default SUM configuration.

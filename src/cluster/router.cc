@@ -1,9 +1,5 @@
 #include "cluster/router.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 
@@ -14,8 +10,11 @@ namespace tpgnn::cluster {
 
 namespace {
 
-// Compact a buffer whose consumed prefix has grown past this many bytes.
-constexpr size_t kCompactThreshold = 1u << 20;
+constexpr int kBackendConnectTimeoutMs = 1000;
+// Deadline for synchronous backend exchanges (migration, metrics).
+constexpr int kBackendSyncTimeoutMs = 5000;
+// Snapshot/replay attempts per migrated session before it is dropped.
+constexpr int kMigrationRetries = 3;
 
 bool IsAckOk(const net::Frame& frame) {
   return frame.type == net::FrameType::kIngestAck &&
@@ -28,7 +27,14 @@ Router::Router(const std::vector<BackendConfig>& backends,
                const RouterOptions& options)
     : options_(options),
       registry_(options.registry),
-      ring_(options.vnodes_per_backend) {
+      ring_(options.vnodes_per_backend),
+      loop_(&wire_metrics_, /*corrupt_failpoint=*/nullptr,
+            {.on_frame =
+                 [this](net::Connection& conn, const net::Frame& frame) {
+                   HandleClientFrame(conn, frame);
+                 },
+             .on_close =
+                 [this](net::Connection& conn) { DropClientTasks(conn); }}) {
   for (const BackendConfig& backend : backends) {
     registry_.Add(backend);
   }
@@ -37,145 +43,35 @@ Router::Router(const std::vector<BackendConfig>& backends,
 Router::~Router() = default;
 
 Status Router::Start() {
-  if (Status s = ListenTcp(options_.bind_address, options_.port,
-                           options_.backlog, &listen_fd_, &port_);
-      !s.ok()) {
-    return s;
-  }
-  int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) {
-    return Status::Internal("pipe failed for shutdown wakeup");
-  }
-  wake_read_.reset(pipe_fds[0]);
-  wake_write_.reset(pipe_fds[1]);
-  SetNonBlocking(wake_read_.get(), true);
-  SetNonBlocking(wake_write_.get(), true);
-  return Status::Ok();
+  return loop_.Listen(options_.bind_address, options_.port);
 }
 
 void Router::Run() {
-  while (PollOnce(options_.poll_timeout_ms)) {
+  while (PollOnce(net::kPollTimeoutMs)) {
   }
 }
 
 void Router::RequestShutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
-  if (wake_write_.valid()) {
-    const uint8_t byte = 1;
-    [[maybe_unused]] ssize_t rc = write(wake_write_.get(), &byte, 1);
-  }
+  loop_.Wake();
 }
 
 bool Router::PollOnce(int timeout_ms) {
-  if (stopped_) {
+  if (loop_.stopped()) {
     return false;
   }
-  if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
+  if (shutdown_requested_.load(std::memory_order_acquire) &&
+      !loop_.draining()) {
     BeginShutdown();
   }
-  if (!draining_) {
+  if (!loop_.draining()) {
     MaintainBackends(NowSeconds());
   }
 
-  // Poll set: listen socket, wake pipe, every client, every backend.
-  enum class EntryKind { kListen, kWake, kClient, kBackend };
-  struct Entry {
-    EntryKind kind;
-    uint64_t client_id = 0;
-    std::string backend_name;
-  };
-  std::vector<pollfd> fds;
-  std::vector<Entry> entries;
-  if (listen_fd_.valid() && !draining_ &&
-      clients_.size() < static_cast<size_t>(options_.max_connections)) {
-    fds.push_back({listen_fd_.get(), POLLIN, 0});
-    entries.push_back({EntryKind::kListen, 0, {}});
-  }
-  if (wake_read_.valid()) {
-    fds.push_back({wake_read_.get(), POLLIN, 0});
-    entries.push_back({EntryKind::kWake, 0, {}});
-  }
-  for (const auto& [id, conn] : clients_) {
-    short events = 0;
-    if (!draining_ && !conn->draining) {
-      events |= POLLIN;
-    }
-    if (conn->out_sent < conn->out.size()) {
-      events |= POLLOUT;
-    }
-    if (events != 0) {
-      fds.push_back({conn->fd.get(), events, 0});
-      entries.push_back({EntryKind::kClient, id, {}});
-    }
-  }
-  for (const auto& [name, conn] : backends_) {
-    if (conn->dead) {
-      continue;
-    }
-    short events = POLLIN;
-    if (conn->out_sent < conn->out.size()) {
-      events |= POLLOUT;
-    }
-    fds.push_back({conn->fd.get(), events, 0});
-    entries.push_back({EntryKind::kBackend, 0, name});
-  }
+  loop_.Poll(timeout_ms);
 
-  poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-
-  for (size_t i = 0; i < fds.size(); ++i) {
-    const short revents = fds[i].revents;
-    if (revents == 0) {
-      continue;
-    }
-    switch (entries[i].kind) {
-      case EntryKind::kWake: {
-        uint8_t sink[64];
-        while (read(wake_read_.get(), sink, sizeof(sink)) > 0) {
-        }
-        break;
-      }
-      case EntryKind::kListen:
-        AcceptPending();
-        break;
-      case EntryKind::kClient: {
-        auto it = clients_.find(entries[i].client_id);
-        if (it == clients_.end()) {
-          break;
-        }
-        ClientConn& conn = *it->second;
-        if ((revents & POLLOUT) != 0 && !conn.dead) {
-          HandleClientWritable(conn);
-        }
-        if ((revents & POLLIN) != 0 && !conn.dead && !conn.draining) {
-          HandleClientReadable(conn);
-        }
-        if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 && !conn.dead &&
-            conn.out_sent >= conn.out.size()) {
-          conn.dead = true;
-        }
-        break;
-      }
-      case EntryKind::kBackend: {
-        auto it = backends_.find(entries[i].backend_name);
-        if (it == backends_.end() || it->second->dead) {
-          break;
-        }
-        BackendConn& conn = *it->second;
-        if ((revents & POLLOUT) != 0) {
-          HandleBackendWritable(conn);
-        }
-        if ((revents & POLLIN) != 0 && !conn.dead) {
-          HandleBackendReadable(conn);
-        }
-        if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-          conn.dead = true;
-        }
-        break;
-      }
-    }
-  }
-
-  if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
+  if (shutdown_requested_.load(std::memory_order_acquire) &&
+      !loop_.draining()) {
     BeginShutdown();
   }
 
@@ -185,294 +81,104 @@ bool Router::PollOnce(int timeout_ms) {
 
   // Opportunistic write flushes.
   for (auto& [name, conn] : backends_) {
-    if (!conn->dead && conn->out_sent < conn->out.size()) {
-      HandleBackendWritable(*conn);
+    if (!conn->dead && conn->backlog() > 0) {
+      conn->Flush();
     }
   }
   FailDeadBackends();
-  for (auto& [id, conn] : clients_) {
-    if (!conn->dead && conn->out_sent < conn->out.size()) {
-      HandleClientWritable(*conn);
-    }
-    if (conn->draining && !conn->dead && conn->out_sent >= conn->out.size()) {
-      conn->dead = true;
-    }
-  }
-  ReapDeadClients();
+  loop_.Reap();
 
-  if (draining_) {
-    const bool expired = clock_.ElapsedMicros() >= drain_deadline_micros_;
+  if (loop_.draining()) {
+    const bool expired = loop_.drain_expired();
     if ((backends_.empty() || expired) && !clients_goodbyed_) {
       // Every backend said GOODBYE (its pending score results arrived
       // first; the server contract flushes them before the GOODBYE), so
       // nothing more is owed to any client.
       clients_goodbyed_ = true;
-      for (auto& [id, conn] : clients_) {
-        if (conn->dead) {
-          continue;
-        }
-        net::Frame goodbye;
-        goodbye.type = net::FrameType::kGoodbye;
-        SendToClient(*conn, goodbye);
-        conn->draining = true;
-      }
+      loop_.GoodbyeAll();
     }
-    if (clients_goodbyed_ && (clients_.empty() || expired)) {
-      clients_.clear();
+    if (clients_goodbyed_ && (loop_.connections().empty() || expired)) {
+      loop_.Stop();
       backends_.clear();
       UpdateConnectedCount();
-      stopped_ = true;
     }
   }
-  return !stopped_;
+  return !loop_.stopped();
 }
 
-void Router::AcceptPending() {
-  while (clients_.size() < static_cast<size_t>(options_.max_connections)) {
-    UniqueFd fd;
-    if (Status s = AcceptTcp(listen_fd_.get(), &fd); !s.ok()) {
-      return;
-    }
-    if (!fd.valid()) {
-      return;  // Nothing pending.
-    }
-    auto conn = std::make_unique<ClientConn>();
-    conn->fd = std::move(fd);
-    conn->id = next_connection_id_++;
-    wire_metrics_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    clients_.emplace(conn->id, std::move(conn));
+void Router::ReadBackend(BackendConn& conn) {
+  Status s = conn.Read(
+      [&](const net::Frame& frame) { ProcessBackendFrame(conn, frame); });
+  if (!s.ok()) {
+    counters_.router_protocol_errors++;
+    conn.dead = true;
   }
 }
 
-void Router::HandleClientReadable(ClientConn& conn) {
-  uint8_t buf[64 * 1024];
-  for (;;) {
-    size_t received = 0;
-    bool eof = false;
-    Status s =
-        RecvNonBlocking(conn.fd.get(), buf, sizeof(buf), &received, &eof);
-    if (!s.ok() || eof) {
-      conn.dead = true;
-      break;
-    }
-    if (received == 0) {
-      break;
-    }
-    wire_metrics_.bytes_received.fetch_add(received,
-                                           std::memory_order_relaxed);
-    conn.in.insert(conn.in.end(), buf, buf + received);
-  }
-
-  size_t offset = 0;
-  while (!conn.dead && !conn.draining) {
-    net::Frame frame;
-    size_t consumed = 0;
-    Status s =
-        DecodeFrame(conn.in.data() + offset, conn.in.size() - offset,
-                    options_.max_payload_bytes, &frame, &consumed);
-    if (!s.ok()) {
-      wire_metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      FailClient(conn, s);
-      break;
-    }
-    if (consumed == 0) {
-      break;
-    }
-    offset += consumed;
-    wire_metrics_.frames_received.fetch_add(1, std::memory_order_relaxed);
-    HandleClientFrame(conn, frame);
-  }
-  if (offset > 0) {
-    conn.in.erase(conn.in.begin(),
-                  conn.in.begin() + static_cast<ptrdiff_t>(offset));
-  } else if (conn.in.capacity() > kCompactThreshold && conn.in.empty()) {
-    conn.in.shrink_to_fit();
-  }
+void Router::EnqueueTask(net::Connection& client, uint64_t request_id,
+                         bool is_score_frame,
+                         std::vector<serve::Event> events) {
+  IngestTask task;
+  task.id = next_task_id_++;
+  task.client_id = client.id();
+  task.client_request_id = request_id;
+  task.is_score_frame = is_score_frame;
+  task.events = std::move(events);
+  task_order_[client.id()].push_back(task.id);
+  tasks_.emplace(task.id, std::move(task));
+  AdvanceClient(client);
 }
 
-void Router::HandleClientWritable(ClientConn& conn) {
-  while (conn.out_sent < conn.out.size()) {
-    size_t sent = 0;
-    Status s = SendNonBlocking(conn.fd.get(), conn.out.data() + conn.out_sent,
-                               conn.out.size() - conn.out_sent, &sent);
-    if (!s.ok()) {
-      conn.dead = true;
-      return;
-    }
-    if (sent == 0) {
-      break;
-    }
-    conn.out_sent += sent;
-    wire_metrics_.bytes_sent.fetch_add(sent, std::memory_order_relaxed);
-  }
-  if (conn.out_sent == conn.out.size()) {
-    conn.out.clear();
-    conn.out_sent = 0;
-  } else if (conn.out_sent > kCompactThreshold) {
-    conn.out.erase(conn.out.begin(),
-                   conn.out.begin() + static_cast<ptrdiff_t>(conn.out_sent));
-    conn.out_sent = 0;
-  }
-}
-
-void Router::HandleBackendReadable(BackendConn& conn) {
-  uint8_t buf[64 * 1024];
-  for (;;) {
-    size_t received = 0;
-    bool eof = false;
-    Status s =
-        RecvNonBlocking(conn.fd.get(), buf, sizeof(buf), &received, &eof);
-    if (!s.ok() || eof) {
-      conn.dead = true;
-      break;
-    }
-    if (received == 0) {
-      break;
-    }
-    conn.in.insert(conn.in.end(), buf, buf + received);
-  }
-
-  size_t offset = 0;
-  for (;;) {
-    net::Frame frame;
-    size_t consumed = 0;
-    Status s =
-        DecodeFrame(conn.in.data() + offset, conn.in.size() - offset,
-                    options_.max_payload_bytes, &frame, &consumed);
-    if (!s.ok()) {
-      counters_.router_protocol_errors++;
-      conn.dead = true;
-      break;
-    }
-    if (consumed == 0) {
-      break;
-    }
-    offset += consumed;
-    ProcessBackendFrame(conn, frame);
-  }
-  if (offset > 0) {
-    conn.in.erase(conn.in.begin(),
-                  conn.in.begin() + static_cast<ptrdiff_t>(offset));
-  } else if (conn.in.capacity() > kCompactThreshold && conn.in.empty()) {
-    conn.in.shrink_to_fit();
-  }
-}
-
-void Router::HandleBackendWritable(BackendConn& conn) {
-  while (conn.out_sent < conn.out.size()) {
-    size_t sent = 0;
-    Status s = SendNonBlocking(conn.fd.get(), conn.out.data() + conn.out_sent,
-                               conn.out.size() - conn.out_sent, &sent);
-    if (!s.ok()) {
-      conn.dead = true;
-      return;
-    }
-    if (sent == 0) {
-      break;
-    }
-    conn.out_sent += sent;
-  }
-  if (conn.out_sent == conn.out.size()) {
-    conn.out.clear();
-    conn.out_sent = 0;
-  } else if (conn.out_sent > kCompactThreshold) {
-    conn.out.erase(conn.out.begin(),
-                   conn.out.begin() + static_cast<ptrdiff_t>(conn.out_sent));
-    conn.out_sent = 0;
-  }
-}
-
-void Router::SendToClient(ClientConn& conn, const net::Frame& frame) {
-  if (conn.dead) {
+void Router::DropClientTasks(const net::Connection& conn) {
+  auto it = task_order_.find(conn.id());
+  if (it == task_order_.end()) {
     return;
   }
-  EncodeFrame(frame, &conn.out);
-  wire_metrics_.frames_sent.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Router::SendToBackend(BackendConn& conn, const net::Frame& frame) {
-  if (conn.dead) {
-    return;
+  for (uint64_t tid : it->second) {
+    tasks_.erase(tid);
   }
-  EncodeFrame(frame, &conn.out);
-}
-
-void Router::FailClient(ClientConn& conn, const Status& status) {
-  net::Frame error;
-  error.type = net::FrameType::kError;
-  error.status_code = status.code();
-  error.text = status.message();
-  SendToClient(conn, error);
-  conn.draining = true;
-  // The stream past the bad frame is garbage; stop reading immediately.
-  shutdown(conn.fd.get(), SHUT_RD);
-}
-
-void Router::ReapDeadClients() {
-  for (auto it = clients_.begin(); it != clients_.end();) {
-    if (!it->second->dead) {
-      ++it;
-      continue;
-    }
-    // Drop the client's queued work. Score refs it still has on backends
-    // stay: their results arrive and are dropped at delivery.
-    for (uint64_t tid : it->second->task_order) {
-      tasks_.erase(tid);
-    }
-    wire_metrics_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-    it = clients_.erase(it);
-  }
+  task_order_.erase(it);
 }
 
 // --- Client-side dispatch --------------------------------------------------
 
-void Router::HandleClientFrame(ClientConn& conn, const net::Frame& frame) {
+void Router::HandleClientFrame(net::Connection& conn,
+                               const net::Frame& frame) {
   switch (frame.type) {
     case net::FrameType::kPing: {
       net::Frame pong;
       pong.type = net::FrameType::kPong;
       pong.request_id = frame.request_id;
-      SendToClient(conn, pong);
+      conn.Send(pong);
       break;
     }
     case net::FrameType::kMetricsRequest:
       HandleMetricsRequest(conn);
       break;
     case net::FrameType::kIngestBatch: {
-      if (frame.events.empty()) {
-        net::Frame reply;
-        reply.type = net::FrameType::kIngestAck;
-        reply.request_id = frame.request_id;
-        reply.status_code = StatusCode::kOk;
-        SendToClient(conn, reply);
+      if (conn.ShedIfBacklogged(frame.request_id)) {
         break;
       }
-      IngestTask task;
-      task.id = next_task_id_++;
-      task.client_id = conn.id;
-      task.client_request_id = frame.request_id;
-      task.events = frame.events;
-      conn.task_order.push_back(task.id);
-      tasks_.emplace(task.id, std::move(task));
-      AdvanceClient(conn);
+      if (frame.events.empty()) {
+        conn.Send(net::StatusReply(net::FrameType::kIngestAck,
+                                   frame.request_id, Status()));
+        break;
+      }
+      EnqueueTask(conn, frame.request_id, /*is_score_frame=*/false,
+                  frame.events);
       break;
     }
     case net::FrameType::kScore: {
       // A standalone score joins the same per-client forwarding queue as
       // ingest batches: it must not overtake events the client sent first.
-      IngestTask task;
-      task.id = next_task_id_++;
-      task.client_id = conn.id;
-      task.client_request_id = frame.request_id;
-      task.is_score_frame = true;
+      if (conn.ShedIfBacklogged(frame.request_id)) {
+        break;
+      }
       serve::Event event;
       event.kind = serve::Event::Kind::kScore;
       event.session_id = frame.session_id;
       event.label = frame.label;
-      task.events.push_back(std::move(event));
-      conn.task_order.push_back(task.id);
-      tasks_.emplace(task.id, std::move(task));
-      AdvanceClient(conn);
+      EnqueueTask(conn, frame.request_id, /*is_score_frame=*/true, {event});
       break;
     }
     case net::FrameType::kModelLoad:
@@ -488,10 +194,9 @@ void Router::HandleClientFrame(ClientConn& conn, const net::Frame& frame) {
       break;
     default: {
       wire_metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      FailClient(conn,
-                 Status::InvalidArgument(
-                     std::string("unexpected frame type from client: ") +
-                     net::FrameTypeName(frame.type)));
+      conn.Fail(Status::InvalidArgument(
+          std::string("unexpected frame type from client: ") +
+          net::FrameTypeName(frame.type)));
       break;
     }
   }
@@ -515,17 +220,17 @@ Router::BackendConn* Router::OwnerFor(uint64_t session_id) {
   return bit->second.get();
 }
 
-void Router::AdvanceClient(ClientConn& client) {
-  if (forwarding_frozen_ || draining_ || client.dead) {
+void Router::AdvanceClient(net::Connection& client) {
+  if (forwarding_frozen_ || loop_.draining() || client.dead) {
     return;
   }
+  std::deque<uint64_t>& order = task_order_[client.id()];
   size_t idx = 0;
-  while (idx < client.task_order.size()) {
-    auto it = tasks_.find(client.task_order[idx]);
+  while (idx < order.size()) {
+    auto it = tasks_.find(order[idx]);
     if (it == tasks_.end()) {
       // Completed (or dropped) earlier; lazily compact the queue.
-      client.task_order.erase(client.task_order.begin() +
-                              static_cast<ptrdiff_t>(idx));
+      order.erase(order.begin() + static_cast<ptrdiff_t>(idx));
       continue;
     }
     IngestTask& task = it->second;
@@ -544,7 +249,8 @@ void Router::AdvanceClient(ClientConn& client) {
   }
 }
 
-Router::TaskStep Router::AdvanceTask(ClientConn& client, IngestTask& task) {
+Router::TaskStep Router::AdvanceTask(net::Connection& client,
+                                     IngestTask& task) {
   while (task.next < task.events.size()) {
     if (task.awaiting_ack) {
       return TaskStep::kGated;  // Mid-multi-run: the run ack gates the rest.
@@ -559,32 +265,16 @@ Router::TaskStep Router::AdvanceTask(ClientConn& client, IngestTask& task) {
       }
       // No backend anywhere: shed with the standard retryable reply.
       counters_.overloads_shed++;
-      net::Frame reply;
-      reply.type = net::FrameType::kOverloaded;
-      reply.request_id = task.client_request_id;
-      reply.status_code = StatusCode::kOverloaded;
-      reply.events_applied = task.acked;
-      reply.text = "no backend available";
-      SendToClient(client, reply);
+      client.Send(net::StatusReply(net::FrameType::kOverloaded,
+                                   task.client_request_id,
+                                   Status::Overloaded("no backend available"),
+                                   task.acked));
       tasks_.erase(task.id);
       return TaskStep::kRemoved;
     }
     if (task.is_score_frame) {
-      PendingOp op;
-      op.kind = PendingOp::Kind::kScore;
-      op.rid = NextRid();
-      op.client_id = client.id;
-      op.client_request_id = task.client_request_id;
-      op.session_id = head.session_id;
-      op.label = head.label;
-      net::Frame fwd;
-      fwd.type = net::FrameType::kScore;
-      fwd.request_id = op.rid;
-      fwd.session_id = head.session_id;
-      fwd.label = head.label;
-      owner->refs.push_back({head.session_id, client.id, head.label, op.rid, 0});
-      owner->ops.push_back(std::move(op));
-      SendToBackend(*owner, fwd);
+      ForwardScore(*owner, {head.session_id, client.id(), head.label},
+                   task.client_request_id);
       tasks_.erase(task.id);
       return TaskStep::kRemoved;
     }
@@ -598,7 +288,7 @@ Router::TaskStep Router::AdvanceTask(ClientConn& client, IngestTask& task) {
     op.kind = PendingOp::Kind::kIngest;
     op.rid = NextRid();
     op.task_id = task.id;
-    op.client_id = client.id;
+    op.client_id = client.id();
     op.run_offset = task.next;
     op.events.assign(task.events.begin() + static_cast<ptrdiff_t>(task.next),
                      task.events.begin() + static_cast<ptrdiff_t>(run_end));
@@ -612,11 +302,11 @@ Router::TaskStep Router::AdvanceTask(ClientConn& client, IngestTask& task) {
       const serve::Event& event = op.events[i];
       if (event.kind == serve::Event::Kind::kScore) {
         owner->refs.push_back(
-            {event.session_id, client.id, event.label, op.rid, i});
+            {event.session_id, client.id(), event.label, op.rid, i});
       }
     }
     owner->ops.push_back(std::move(op));
-    SendToBackend(*owner, fwd);
+    owner->Send(fwd);
     task.next = run_end;
     task.awaiting_ack = true;
   }
@@ -652,12 +342,11 @@ void Router::ProcessBackendFrame(BackendConn& conn, const net::Frame& frame) {
         // The backend shed (or typed-failed) a standalone score before
         // enqueueing it; its ref resolves here, not with a result.
         CancelRefsBeyond(conn, op.rid, 0);
-        auto cit = clients_.find(op.client_id);
         if (op.client_request_id != 0) {
-          if (cit != clients_.end() && !cit->second->dead) {
+          if (net::Connection* client = loop_.Find(op.client_id)) {
             net::Frame reply = frame;
             reply.request_id = op.client_request_id;
-            SendToClient(*cit->second, reply);
+            client->Send(reply);
           }
         } else {
           // Internal reissue: exactly-once still demands one terminal
@@ -728,32 +417,23 @@ void Router::HandleIngestAck(BackendConn& conn, PendingOp op,
   }
   IngestTask& task = it->second;
   task.awaiting_ack = false;
-  auto cit = clients_.find(task.client_id);
-  ClientConn* client =
-      cit == clients_.end() || cit->second->dead ? nullptr : cit->second.get();
+  net::Connection* client = loop_.Find(task.client_id);
   if (!ok) {
     if (client != nullptr) {
       // Relay in original-frame coordinates: the backend counted within
       // its run, the client thinks in its own batch.
-      net::Frame reply;
-      reply.type = frame.type;
-      reply.request_id = task.client_request_id;
-      reply.status_code = frame.status_code;
-      reply.events_applied = task.acked + applied;
-      reply.text = frame.text;
-      SendToClient(*client, reply);
+      client->Send(net::StatusReply(frame.type, task.client_request_id,
+                                    Status(frame.status_code, frame.text),
+                                    task.acked + applied));
     }
     tasks_.erase(it);
   } else {
     task.acked += applied;
     if (task.acked >= task.events.size()) {
       if (client != nullptr) {
-        net::Frame reply;
-        reply.type = net::FrameType::kIngestAck;
-        reply.request_id = task.client_request_id;
-        reply.status_code = StatusCode::kOk;
-        reply.events_applied = task.acked;
-        SendToClient(*client, reply);
+        client->Send(net::StatusReply(net::FrameType::kIngestAck,
+                                      task.client_request_id, Status(),
+                                      task.acked));
       }
       tasks_.erase(it);
     }
@@ -827,8 +507,7 @@ void Router::HandleScoreResults(BackendConn& conn, const net::Frame& frame) {
     if (oit != conn.ops.end() && oit->kind == PendingOp::Kind::kScore) {
       conn.ops.erase(oit);
     }
-    auto cit = clients_.find(ref.client_id);
-    if (cit == clients_.end() || cit->second->dead) {
+    if (loop_.Find(ref.client_id) == nullptr) {
       continue;  // Requester is gone; the result is dropped.
     }
     net::Frame& out = per_client[ref.client_id];
@@ -836,23 +515,22 @@ void Router::HandleScoreResults(BackendConn& conn, const net::Frame& frame) {
     out.results.push_back(result);
   }
   for (auto& [client_id, out] : per_client) {
-    auto cit = clients_.find(client_id);
-    if (cit != clients_.end()) {
-      SendToClient(*cit->second, out);
+    if (net::Connection* client = loop_.Find(client_id)) {
+      client->Send(out);
     }
   }
 }
 
 void Router::DeliverResult(uint64_t client_id,
                            const serve::ScoreResult& result) {
-  auto cit = clients_.find(client_id);
-  if (cit == clients_.end() || cit->second->dead) {
+  net::Connection* client = loop_.Find(client_id);
+  if (client == nullptr) {
     return;
   }
   net::Frame frame;
   frame.type = net::FrameType::kScoreResult;
   frame.results.push_back(result);
-  SendToClient(*cit->second, frame);
+  client->Send(frame);
 }
 
 // --- Membership, probes, failover, migration -------------------------------
@@ -876,7 +554,7 @@ void Router::MaintainBackends(double now) {
         net::Frame ping;
         ping.type = net::FrameType::kPing;
         ping.request_id = probe_id;
-        SendToBackend(conn, ping);
+        conn.Send(ping);
       }
       double effective_now = now;
       failpoint::Hit hit;
@@ -919,16 +597,16 @@ bool Router::TryConnectBackend(BackendRegistry::Entry& entry, double now) {
   }
   UniqueFd fd;
   Status s = ConnectTcp(entry.config.host, entry.config.port,
-                        options_.backend_connect_timeout_ms, &fd);
+                        kBackendConnectTimeoutMs, &fd);
   if (!s.ok()) {
     registry_.OnConnectFailed(entry, now);
     return false;
   }
   SetNonBlocking(fd.get(), true);
   registry_.OnConnected(entry, now);
-  auto conn = std::make_unique<BackendConn>();
-  conn->name = entry.config.name;
-  conn->fd = std::move(fd);
+  auto conn = std::make_unique<BackendConn>(entry.config.name, std::move(fd));
+  loop_.Watch(conn.get(),
+              [this, backend = conn.get()] { ReadBackend(*backend); });
   backends_.emplace(entry.config.name, std::move(conn));
   counters_.backend_connects++;
   if (!entry.draining) {
@@ -961,13 +639,14 @@ void Router::FailBackend(const std::string& name) {
   }
   std::unique_ptr<BackendConn> conn = std::move(it->second);
   backends_.erase(it);
+  loop_.Unwatch(conn.get());
   UpdateConnectedCount();
   ring_.RemoveBackend(name);
   if (auto* entry = registry_.Find(name)) {
     registry_.OnConnectionLost(*entry, NowSeconds());
   }
   counters_.backend_disconnects++;
-  if (draining_) {
+  if (loop_.draining()) {
     return;  // Shutdown drops in-flight work by design.
   }
   counters_.backend_failovers++;
@@ -1023,14 +702,13 @@ void Router::FailBackend(const std::string& name) {
     // here so ordering against the surrounding ops is preserved.
     task.next = op.run_offset;
     task.awaiting_ack = false;
-    auto cit = clients_.find(task.client_id);
-    if (cit != clients_.end() && !cit->second->dead) {
-      AdvanceTask(*cit->second, task);
+    if (net::Connection* client = loop_.Find(task.client_id)) {
+      AdvanceTask(*client, task);
     }
   }
 
   // 3. Whatever gated during the window resumes normally.
-  for (auto& [id, client] : clients_) {
+  for (const auto& [id, client] : loop_.connections()) {
     if (!client->dead) {
       AdvanceClient(*client);
     }
@@ -1059,11 +737,17 @@ void Router::ReissueScore(const ScoreRef& ref) {
     return;
   }
   counters_.scores_reissued++;
+  // Internal (no client request id): overloads become typed results.
+  ForwardScore(*owner, ref, /*client_request_id=*/0);
+}
+
+void Router::ForwardScore(BackendConn& owner, const ScoreRef& ref,
+                          uint64_t client_request_id) {
   PendingOp op;
   op.kind = PendingOp::Kind::kScore;
   op.rid = NextRid();
   op.client_id = ref.client_id;
-  op.client_request_id = 0;  // Internal: overloads become typed results.
+  op.client_request_id = client_request_id;
   op.session_id = ref.session_id;
   op.label = ref.label;
   net::Frame fwd;
@@ -1071,9 +755,9 @@ void Router::ReissueScore(const ScoreRef& ref) {
   fwd.request_id = op.rid;
   fwd.session_id = ref.session_id;
   fwd.label = ref.label;
-  owner->refs.push_back({ref.session_id, ref.client_id, ref.label, op.rid, 0});
-  owner->ops.push_back(std::move(op));
-  SendToBackend(*owner, fwd);
+  owner.refs.push_back({ref.session_id, ref.client_id, ref.label, op.rid, 0});
+  owner.ops.push_back(std::move(op));
+  owner.Send(fwd);
 }
 
 void Router::RebalanceSessions() {
@@ -1102,7 +786,7 @@ void Router::RebalanceSessions() {
     }
   }
   forwarding_frozen_ = false;
-  for (auto& [id, client] : clients_) {
+  for (const auto& [id, client] : loop_.connections()) {
     if (!client->dead) {
       AdvanceClient(*client);
     }
@@ -1160,7 +844,7 @@ Status Router::MigrateSessionSnapshot(uint64_t session_id, SessionInfo& info) {
   }
   // From here the source has Ended its copy: the blob (plus the journal,
   // as fallback) is the only live state.
-  for (int attempt = 0; attempt < options_.migration_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMigrationRetries; ++attempt) {
     if (info.owner != source_name) {
       // A nested failover replayed this session somewhere already; the
       // snapshot is redundant.
@@ -1203,7 +887,7 @@ Status Router::ReplaySessionJournal(uint64_t session_id, SessionInfo& info) {
   size_t cursor = 0;
   std::string progress_owner;  // Backend holding the applied prefix.
   Status last = Status::Internal("replay not attempted");
-  for (int attempt = 0; attempt < options_.migration_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMigrationRetries; ++attempt) {
     const std::string* target_name = ring_.OwnerOf(session_id);
     if (target_name == nullptr) {
       last = Status::Overloaded("no backend available for session replay");
@@ -1217,20 +901,8 @@ Status Router::ReplaySessionJournal(uint64_t session_id, SessionInfo& info) {
     BackendConn& target = *tit->second;
     const std::string tname = target.name;
     if (cursor > 0 && tname != progress_owner) {
-      // A partial replay is stranded on a previous target; if it is still
-      // alive, End the fragment so the fresh Begin cannot collide later.
-      auto pit = backends_.find(progress_owner);
-      if (pit != backends_.end() && !pit->second->dead) {
-        net::Frame cleanup;
-        cleanup.type = net::FrameType::kIngestBatch;
-        cleanup.request_id = NextRid();
-        serve::Event end;
-        end.kind = serve::Event::Kind::kEnd;
-        end.session_id = session_id;
-        cleanup.events.push_back(std::move(end));
-        net::Frame ignored;
-        (void)SyncCall(*pit->second, cleanup, &ignored);
-      }
+      // A partial replay is stranded on a previous target.
+      EndReplayFragment(progress_owner, session_id);
       cursor = 0;
     }
     failpoint::Hit hit;
@@ -1273,47 +945,35 @@ Status Router::ReplaySessionJournal(uint64_t session_id, SessionInfo& info) {
   // Give up: clear any stranded fragment so future traffic fails typed
   // instead of resuming a half-session.
   if (cursor > 0) {
-    auto pit = backends_.find(progress_owner);
-    if (pit != backends_.end() && !pit->second->dead) {
-      net::Frame cleanup;
-      cleanup.type = net::FrameType::kIngestBatch;
-      cleanup.request_id = NextRid();
-      serve::Event end;
-      end.kind = serve::Event::Kind::kEnd;
-      end.session_id = session_id;
-      cleanup.events.push_back(std::move(end));
-      net::Frame ignored;
-      (void)SyncCall(*pit->second, cleanup, &ignored);
-    }
+    EndReplayFragment(progress_owner, session_id);
   }
   return last;
 }
 
-Status Router::QuiesceIngest(BackendConn& conn) {
-  const double deadline =
-      clock_.ElapsedMicros() + options_.backend_sync_timeout_ms * 1000.0;
-  for (;;) {
-    bool busy = false;
-    for (const PendingOp& op : conn.ops) {
-      if (op.kind == PendingOp::Kind::kIngest) {
-        busy = true;
-        break;
-      }
-    }
-    if (!busy) {
-      return Status::Ok();
-    }
-    if (conn.dead) {
-      return Status::DataLoss("backend connection lost during quiesce");
-    }
-    if (clock_.ElapsedMicros() >= deadline) {
-      return Status::DeadlineExceeded("backend quiesce timed out");
-    }
-    if (Status s = PumpBackendOnce(conn, 20);
-        !s.ok() && s.code() != StatusCode::kDeadlineExceeded) {
-      return s;
-    }
+void Router::EndReplayFragment(const std::string& backend,
+                               uint64_t session_id) {
+  auto it = backends_.find(backend);
+  if (it == backends_.end() || it->second->dead) {
+    return;
   }
+  net::Frame cleanup;
+  cleanup.type = net::FrameType::kIngestBatch;
+  cleanup.request_id = NextRid();
+  serve::Event end;
+  end.kind = serve::Event::Kind::kEnd;
+  end.session_id = session_id;
+  cleanup.events.push_back(std::move(end));
+  net::Frame ignored;
+  (void)SyncCall(*it->second, cleanup, &ignored);
+}
+
+Status Router::QuiesceIngest(BackendConn& conn) {
+  return PumpBackendUntil(conn, [&conn] {
+    return std::none_of(conn.ops.begin(), conn.ops.end(),
+                        [](const PendingOp& op) {
+                          return op.kind == PendingOp::Kind::kIngest;
+                        });
+  });
 }
 
 Status Router::SyncCall(BackendConn& conn, const net::Frame& request,
@@ -1325,29 +985,13 @@ Status Router::SyncCall(BackendConn& conn, const net::Frame& request,
     awaiting_metrics_ = true;
     metrics_done_ = false;
   }
-  SendToBackend(conn, request);
-  const double deadline =
-      clock_.ElapsedMicros() + options_.backend_sync_timeout_ms * 1000.0;
-  Status result = Status::Ok();
-  for (;;) {
-    if (is_metrics ? metrics_done_ : sync_done_.count(rid) > 0) {
-      *reply = is_metrics ? std::move(metrics_reply_)
-                          : std::move(sync_done_[rid]);
-      break;
-    }
-    if (conn.dead) {
-      result = Status::DataLoss("backend connection lost mid-request");
-      break;
-    }
-    if (clock_.ElapsedMicros() >= deadline) {
-      result = Status::DeadlineExceeded("backend request timed out");
-      break;
-    }
-    if (Status s = PumpBackendOnce(conn, 20);
-        !s.ok() && s.code() != StatusCode::kDeadlineExceeded) {
-      result = s;
-      break;
-    }
+  conn.Send(request);
+  Status result = PumpBackendUntil(conn, [&] {
+    return is_metrics ? metrics_done_ : sync_done_.count(rid) > 0;
+  });
+  if (result.ok()) {
+    *reply =
+        is_metrics ? std::move(metrics_reply_) : std::move(sync_done_[rid]);
   }
   sync_waiting_.erase(rid);
   sync_done_.erase(rid);
@@ -1357,37 +1001,33 @@ Status Router::SyncCall(BackendConn& conn, const net::Frame& request,
   return result;
 }
 
-Status Router::PumpBackendOnce(BackendConn& conn, int timeout_ms) {
-  if (conn.dead) {
-    return Status::DataLoss("backend connection lost");
-  }
-  // Push pending writes first so the awaited request actually leaves.
-  while (conn.out_sent < conn.out.size()) {
-    size_t sent = 0;
-    Status s = SendNonBlocking(conn.fd.get(), conn.out.data() + conn.out_sent,
-                               conn.out.size() - conn.out_sent, &sent);
-    if (!s.ok()) {
-      conn.dead = true;
-      return s;
+Status Router::PumpBackendUntil(BackendConn& conn,
+                                const std::function<bool()>& done) {
+  constexpr int kSliceMs = 20;
+  const double deadline =
+      clock_.ElapsedMicros() + kBackendSyncTimeoutMs * 1000.0;
+  while (!done()) {
+    if (conn.dead) {
+      return Status::DataLoss("backend connection lost");
     }
-    if (sent == 0) {
-      if (!WaitWritable(conn.fd.get(), timeout_ms).ok()) {
+    if (clock_.ElapsedMicros() >= deadline) {
+      return Status::DeadlineExceeded("backend exchange timed out");
+    }
+    // Push pending writes first so the awaited request actually leaves.
+    while (!conn.dead && conn.backlog() > 0) {
+      conn.Flush();
+      if (conn.backlog() > 0 && !WaitWritable(conn.fd(), kSliceMs).ok()) {
         break;
       }
+    }
+    if (conn.dead) {
       continue;
     }
-    conn.out_sent += sent;
-  }
-  if (conn.out_sent == conn.out.size()) {
-    conn.out.clear();
-    conn.out_sent = 0;
-  }
-  if (Status s = WaitReadable(conn.fd.get(), timeout_ms); !s.ok()) {
-    return s;  // kDeadlineExceeded: nothing arrived within the slice.
-  }
-  HandleBackendReadable(conn);
-  if (conn.dead) {
-    return Status::DataLoss("backend connection lost");
+    if (Status s = WaitReadable(conn.fd(), kSliceMs); s.ok()) {
+      ReadBackend(conn);
+    } else if (s.code() != StatusCode::kDeadlineExceeded) {
+      return s;
+    }
   }
   return Status::Ok();
 }
@@ -1426,7 +1066,7 @@ Status Router::UndrainBackend(const std::string& name) {
   return Status::Ok();
 }
 
-void Router::HandleMetricsRequest(ClientConn& conn) {
+void Router::HandleMetricsRequest(net::Connection& conn) {
   serve::MetricsSnapshot merged = wire_metrics_.Snapshot();
   size_t backends_merged = 0;
   for (auto& [name, bconn] : backends_) {
@@ -1457,10 +1097,11 @@ void Router::HandleMetricsRequest(ClientConn& conn) {
   net::Frame reply;
   reply.type = net::FrameType::kMetricsResponse;
   reply.text = std::move(json);
-  SendToClient(conn, reply);
+  conn.Send(reply);
 }
 
-void Router::HandleModelAdmin(ClientConn& conn, const net::Frame& frame) {
+void Router::HandleModelAdmin(net::Connection& conn,
+                              const net::Frame& frame) {
   if (frame.type == net::FrameType::kModelStatus) {
     // Aggregate registry snapshots: {"backends": {"<name>": <StatusJson>}}.
     // Backends that fail the exchange are omitted (and torn down below),
@@ -1492,7 +1133,7 @@ void Router::HandleModelAdmin(ClientConn& conn, const net::Frame& frame) {
     reply.request_id = frame.request_id;
     reply.status_code = StatusCode::kOk;
     reply.text = std::move(json);
-    SendToClient(conn, reply);
+    conn.Send(reply);
     return;
   }
 
@@ -1531,7 +1172,7 @@ void Router::HandleModelAdmin(ClientConn& conn, const net::Frame& frame) {
   }
   reply.events_applied = applied;
   FailDeadBackends();
-  SendToClient(conn, reply);
+  conn.Send(reply);
 }
 
 std::string Router::BuildClusterJson(size_t backends_merged) const {
@@ -1560,18 +1201,12 @@ std::string Router::BuildClusterJson(size_t backends_merged) const {
 }
 
 void Router::BeginShutdown() {
-  draining_ = true;
-  listen_fd_.reset();
+  loop_.BeginDrain();
+  net::Frame shutdown;
+  shutdown.type = net::FrameType::kShutdown;
   for (auto& [name, conn] : backends_) {
-    if (conn->dead) {
-      continue;
-    }
-    net::Frame shutdown;
-    shutdown.type = net::FrameType::kShutdown;
-    SendToBackend(*conn, shutdown);
+    conn->Send(shutdown);
   }
-  drain_deadline_micros_ =
-      clock_.ElapsedMicros() + options_.drain_timeout_ms * 1000.0;
 }
 
 void Router::UpdateConnectedCount() {

@@ -4,14 +4,17 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/registry.h"
 #include "cluster/ring.h"
+#include "net/event_loop.h"
 #include "net/protocol.h"
 #include "serve/metrics.h"
 #include "util/net.h"
@@ -59,10 +62,18 @@
 // the raw folded tensors as exact float bits, so migrated sessions score
 // bit-identically to an engine that never moved them.
 //
-// Threading: one poll thread owns everything (Run / PollOnce), exactly
-// like net::Server. RequestShutdown is thread-safe; DrainBackend /
-// UndrainBackend must be called on the poll thread (tests drive PollOnce
-// by hand around them).
+// Plumbing: the router is a frame handler on net::EventLoop
+// (net/event_loop.h). Clients are the loop's inbound connections; each
+// backend link is a net::Connection the router dials and the loop watches
+// as an outbound connection. Only client-side traffic is counted into the
+// wire metrics, so the merged METRICS payload does not count a routed
+// frame twice. A client that stops reading its responses gets OVERLOADED
+// for new ingest and score work once its backlog passes
+// net::kMaxWriteBacklogBytes.
+//
+// Threading: the thread calling Run / PollOnce owns everything.
+// RequestShutdown is thread-safe; DrainBackend / UndrainBackend must be
+// called on the poll thread (tests drive PollOnce by hand around them).
 //
 // Failpoints: `router.backend_connect` (dial flap), `router.probe`
 // (forced probe miss), `router.migrate` (mid-migration failure; the
@@ -73,17 +84,7 @@ namespace tpgnn::cluster {
 struct RouterOptions {
   std::string bind_address = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; see Router::port().
-  int backlog = 64;
-  int max_connections = 64;
-  uint32_t max_payload_bytes = net::kDefaultMaxPayloadBytes;
-  int poll_timeout_ms = 20;
-  int drain_timeout_ms = 5000;
-  int backend_connect_timeout_ms = 1000;
-  // Deadline for synchronous backend exchanges (migration, metrics).
-  int backend_sync_timeout_ms = 5000;
   int vnodes_per_backend = 64;
-  // Snapshot/replay attempts per migrated session before it is dropped.
-  int migration_retries = 3;
   RegistryOptions registry;
 };
 
@@ -118,7 +119,7 @@ class Router {
   // Binds the client-facing listen socket. Backends are dialed lazily by
   // the poll loop (so a router can start before its backends).
   Status Start();
-  int port() const { return port_; }
+  int port() const { return loop_.port(); }
 
   void Run();
   // One poll iteration; false once fully shut down.
@@ -141,24 +142,12 @@ class Router {
     return connected_backends_.load(std::memory_order_relaxed);
   }
   size_t num_sessions() const { return sessions_.size(); }
-  size_t num_clients() const { return clients_.size(); }
+  size_t num_clients() const { return loop_.connections().size(); }
   const ClusterCounters& counters() const { return counters_; }
   const BackendRegistry& registry() const { return registry_; }
   const HashRing& ring() const { return ring_; }
 
  private:
-  struct ClientConn {
-    UniqueFd fd;
-    uint64_t id = 0;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;
-    size_t out_sent = 0;
-    bool draining = false;
-    bool dead = false;
-    // Ids of this client's unfinished tasks, in frame-arrival order.
-    std::deque<uint64_t> task_order;
-  };
-
   // One client frame being forwarded: an INGEST_BATCH (runs of events) or
   // a standalone SCORE (one kScore pseudo-event, no ack on success).
   struct IngestTask {
@@ -198,13 +187,11 @@ class Router {
     size_t index_in_run = 0;   // Position among the op's events.
   };
 
-  struct BackendConn {
-    std::string name;
-    UniqueFd fd;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;
-    size_t out_sent = 0;
-    bool dead = false;
+  struct BackendConn : net::Connection {
+    BackendConn(std::string backend_name, UniqueFd fd)
+        : net::Connection(std::move(fd), 0, Direction::kOutbound),
+          name(std::move(backend_name)) {}
+    const std::string name;
     std::deque<PendingOp> ops;
     std::deque<ScoreRef> refs;
   };
@@ -219,35 +206,33 @@ class Router {
   double NowSeconds() const { return clock_.ElapsedMicros() * 1e-6; }
   uint64_t NextRid() { return next_request_id_++; }
 
-  // --- Poll plumbing -----------------------------------------------------
-  void AcceptPending();
-  void HandleClientReadable(ClientConn& conn);
-  void HandleClientWritable(ClientConn& conn);
-  void HandleBackendReadable(BackendConn& conn);
-  void HandleBackendWritable(BackendConn& conn);
-  void SendToClient(ClientConn& conn, const net::Frame& frame);
-  void SendToBackend(BackendConn& conn, const net::Frame& frame);
-  void FailClient(ClientConn& conn, const Status& status);
-  void ReapDeadClients();
-
   // --- Client-side dispatch ----------------------------------------------
-  void HandleClientFrame(ClientConn& conn, const net::Frame& frame);
-  void HandleMetricsRequest(ClientConn& conn);
+  void HandleClientFrame(net::Connection& conn, const net::Frame& frame);
+  // Queues a forwarding task behind the client's earlier ones.
+  void EnqueueTask(net::Connection& client, uint64_t request_id,
+                   bool is_score_frame, std::vector<serve::Event> events);
+  // Drops a closing client's queued work. Score refs it still has on
+  // backends stay: their results arrive and are dropped at delivery.
+  void DropClientTasks(const net::Connection& conn);
+  void HandleMetricsRequest(net::Connection& conn);
   // Model lifecycle fan-out: MODEL_LOAD / MODEL_ACTIVATE roll across the
   // connected backends one at a time (each backend's ack gates the next, so
   // a failing checkpoint stops the roll with the fleet in a known state);
   // MODEL_STATUS aggregates per-backend registry snapshots.
-  void HandleModelAdmin(ClientConn& conn, const net::Frame& frame);
+  void HandleModelAdmin(net::Connection& conn, const net::Frame& frame);
   // Forwards ready tasks of `client` in frame order; stops at a gate (a
   // multi-run task awaiting its run ack, or an owner that is mid-failover).
-  void AdvanceClient(ClientConn& client);
+  void AdvanceClient(net::Connection& client);
   enum class TaskStep { kDone, kGated, kRemoved };
-  TaskStep AdvanceTask(ClientConn& client, IngestTask& task);
+  TaskStep AdvanceTask(net::Connection& client, IngestTask& task);
   // Current owner connection for an event's session; null when the owner
   // backend is not connected (ring empty or mid-failover).
   BackendConn* OwnerFor(uint64_t session_id);
 
   // --- Backend-side dispatch ---------------------------------------------
+  // Reads and dispatches every frame a backend sent; a corrupt stream
+  // kills the link.
+  void ReadBackend(BackendConn& conn);
   void ProcessBackendFrame(BackendConn& conn, const net::Frame& frame);
   void HandleIngestAck(BackendConn& conn, PendingOp op,
                        const net::Frame& frame);
@@ -269,12 +254,18 @@ class Router {
   // One terminal outcome for a score orphaned by a failover: re-sent to
   // the session's new owner, or a typed-failure result to the client.
   void ReissueScore(const ScoreRef& ref);
+  // Sends one standalone SCORE for `ref` to `owner` and tracks it there.
+  void ForwardScore(BackendConn& owner, const ScoreRef& ref,
+                    uint64_t client_request_id);
   // Moves every session whose ring owner differs from its current owner
   // (after a join/drain/undrain): snapshot migration when the source is
   // connected, journal replay otherwise.
   void RebalanceSessions();
   Status MigrateSessionSnapshot(uint64_t session_id, SessionInfo& info);
   Status ReplaySessionJournal(uint64_t session_id, SessionInfo& info);
+  // Ends a partial replay left on `backend`, if it is still connected, so
+  // a later fresh Begin of the session cannot collide with the fragment.
+  void EndReplayFragment(const std::string& backend, uint64_t session_id);
   // Waits until `conn` has no outstanding ingest ops (their acks decide
   // what the journal — and therefore any snapshot — may contain).
   Status QuiesceIngest(BackendConn& conn);
@@ -283,7 +274,11 @@ class Router {
   // ProcessBackendFrame while waiting.
   Status SyncCall(BackendConn& conn, const net::Frame& request,
                   net::Frame* reply);
-  Status PumpBackendOnce(BackendConn& conn, int timeout_ms);
+  // Pumps `conn` alone — flushing its backlog, then reading and
+  // dispatching what it sends — until `done()` holds, the link dies, or
+  // the synchronous-exchange deadline passes.
+  Status PumpBackendUntil(BackendConn& conn,
+                          const std::function<bool()>& done);
 
   void BeginShutdown();
   void UpdateConnectedCount();
@@ -293,21 +288,17 @@ class Router {
   BackendRegistry registry_;
   HashRing ring_;
 
-  UniqueFd listen_fd_;
-  int port_ = 0;
-  UniqueFd wake_read_;
-  UniqueFd wake_write_;
+  // Client-side wire accounting; merged into the METRICS payload.
+  serve::Metrics wire_metrics_;
+  net::EventLoop loop_;
   std::atomic<bool> shutdown_requested_{false};
-  bool draining_ = false;
   bool clients_goodbyed_ = false;
-  bool stopped_ = false;
-  double drain_deadline_micros_ = 0.0;
   Stopwatch clock_;
 
-  uint64_t next_connection_id_ = 1;
   uint64_t next_task_id_ = 1;
   uint64_t next_request_id_ = 1;
-  std::map<uint64_t, std::unique_ptr<ClientConn>> clients_;
+  // Ids of each client's unfinished tasks, in frame-arrival order.
+  std::map<uint64_t, std::deque<uint64_t>> task_order_;
   std::map<std::string, std::unique_ptr<BackendConn>> backends_;
   std::map<uint64_t, IngestTask> tasks_;
   std::map<uint64_t, SessionInfo> sessions_;
@@ -323,8 +314,6 @@ class Router {
   bool metrics_done_ = false;
   net::Frame metrics_reply_;
 
-  // Client-side wire accounting; merged into the METRICS payload.
-  serve::Metrics wire_metrics_;
   ClusterCounters counters_;
   std::atomic<size_t> connected_backends_{0};
 };

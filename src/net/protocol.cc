@@ -341,6 +341,17 @@ void AppendZigzag(int64_t value, std::vector<uint8_t>* out) {
                out);
 }
 
+Frame StatusReply(FrameType type, uint64_t request_id, const Status& status,
+                  uint64_t events_applied) {
+  Frame reply;
+  reply.type = type;
+  reply.request_id = request_id;
+  reply.status_code = status.code();
+  reply.events_applied = events_applied;
+  reply.text = status.message();
+  return reply;
+}
+
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
   const size_t header_at = out->size();
   AppendU32(kFrameMagic, out);

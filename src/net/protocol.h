@@ -120,6 +120,12 @@ struct Frame {
   double fraction = 0.0;
 };
 
+// A reply to `request_id` of `type` (kIngestAck / kOverloaded / kError)
+// carrying `status` — its code, and its message as text — plus the count
+// of events applied.
+Frame StatusReply(FrameType type, uint64_t request_id, const Status& status,
+                  uint64_t events_applied = 0);
+
 // Appends the complete wire encoding of `frame` to `*out`.
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out);
 

@@ -1,9 +1,5 @@
 #include "net/server.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <utility>
 
 #include "util/failpoint.h"
@@ -13,271 +9,87 @@ namespace tpgnn::net {
 
 namespace {
 
-// Ids for the two non-connection poll entries.
-constexpr uint64_t kListenEntry = 0;
-constexpr uint64_t kWakeEntry = ~uint64_t{0};
+Status InflightCapStatus() {
+  return Status::Overloaded("connection at its in-flight score cap");
+}
 
-// Compact a buffer whose consumed prefix has grown past this many bytes.
-constexpr size_t kCompactThreshold = 1u << 20;
+// Acks an admin request (session import, model load or activate): one
+// event applied on success, the typed error otherwise.
+void SendAdminAck(Connection& conn, uint64_t request_id,
+                  const Status& status) {
+  conn.Send(StatusReply(FrameType::kIngestAck, request_id, status,
+                        status.ok() ? 1 : 0));
+}
 
 }  // namespace
 
 Server::Server(serve::InferenceEngine* engine, const ServerOptions& options)
-    : engine_(engine), options_(options) {
-  TPGNN_CHECK(engine != nullptr);
-}
+    : engine_(engine),
+      options_(options),
+      loop_(&engine->mutable_metrics(), "server.corrupt_frame",
+            {.on_frame =
+                 [this](Connection& conn, const Frame& frame) {
+                   HandleFrame(conn, frame);
+                 },
+             .on_close =
+                 [this](Connection& conn) {
+                   inflight_scores_.erase(conn.id());
+                 }}) {}
 
 Server::~Server() = default;
 
 Status Server::Start() {
-  if (Status s = ListenTcp(options_.bind_address, options_.port,
-                           options_.backlog, &listen_fd_, &port_);
-      !s.ok()) {
-    return s;
-  }
-  int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) {
-    return Status::Internal("pipe failed for shutdown wakeup");
-  }
-  wake_read_.reset(pipe_fds[0]);
-  wake_write_.reset(pipe_fds[1]);
-  SetNonBlocking(wake_read_.get(), true);
-  SetNonBlocking(wake_write_.get(), true);
-  return Status::Ok();
+  return loop_.Listen(options_.bind_address, options_.port);
 }
 
 void Server::Run() {
-  while (PollOnce(options_.poll_timeout_ms)) {
+  while (PollOnce(kPollTimeoutMs)) {
   }
 }
 
 void Server::RequestShutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
-  if (wake_write_.valid()) {
-    const uint8_t byte = 1;
-    // Best-effort wakeup; a full pipe means a wakeup is already pending.
-    [[maybe_unused]] ssize_t rc = write(wake_write_.get(), &byte, 1);
-  }
+  loop_.Wake();
 }
 
 void Server::Abort() {
   abort_requested_.store(true, std::memory_order_release);
-  if (wake_write_.valid()) {
-    const uint8_t byte = 1;
-    [[maybe_unused]] ssize_t rc = write(wake_write_.get(), &byte, 1);
-  }
+  loop_.Wake();
 }
 
 bool Server::PollOnce(int timeout_ms) {
-  if (stopped_) {
+  if (loop_.stopped()) {
     return false;
   }
   if (abort_requested_.load(std::memory_order_acquire)) {
-    serve::Metrics& metrics = engine_->mutable_metrics();
-    metrics.connections_closed.fetch_add(connections_.size(),
-                                         std::memory_order_relaxed);
-    connections_.clear();
+    loop_.Stop();
     num_connections_.store(0, std::memory_order_relaxed);
-    listen_fd_.reset();
+    inflight_scores_.clear();
     score_owner_.clear();
-    stopped_ = true;
     return false;
   }
-  if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
+  if (shutdown_requested_.load(std::memory_order_acquire) &&
+      !loop_.draining()) {
     BeginShutdown();
   }
-
-  std::vector<pollfd> fds;
-  std::vector<uint64_t> entry_ids;
-  if (listen_fd_.valid() && !draining_ &&
-      connections_.size() < static_cast<size_t>(options_.max_connections)) {
-    fds.push_back({listen_fd_.get(), POLLIN, 0});
-    entry_ids.push_back(kListenEntry);
-  }
-  if (wake_read_.valid()) {
-    fds.push_back({wake_read_.get(), POLLIN, 0});
-    entry_ids.push_back(kWakeEntry);
-  }
-  for (const auto& [id, conn] : connections_) {
-    short events = 0;
-    if (!draining_ && !conn->draining) {
-      events |= POLLIN;
-    }
-    if (write_backlog(*conn) > 0) {
-      events |= POLLOUT;
-    }
-    if (events != 0) {
-      fds.push_back({conn->fd.get(), events, 0});
-      entry_ids.push_back(id);
-    }
-  }
-
-  poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-
-  for (size_t i = 0; i < fds.size(); ++i) {
-    const short revents = fds[i].revents;
-    if (revents == 0) {
-      continue;
-    }
-    const uint64_t id = entry_ids[i];
-    if (id == kWakeEntry) {
-      uint8_t sink[64];
-      while (read(wake_read_.get(), sink, sizeof(sink)) > 0) {
-      }
-      continue;
-    }
-    if (id == kListenEntry) {
-      AcceptPending();
-      continue;
-    }
-    auto it = connections_.find(id);
-    if (it == connections_.end()) {
-      continue;
-    }
-    Connection& conn = *it->second;
-    if ((revents & POLLOUT) != 0 && !conn.dead) {
-      HandleWritable(conn);
-    }
-    if ((revents & POLLIN) != 0 && !conn.dead && !conn.draining) {
-      HandleReadable(conn);
-    }
-    if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 && !conn.dead &&
-        write_backlog(conn) == 0) {
-      conn.dead = true;
-    }
-  }
-
+  loop_.Poll(timeout_ms);
   // A shutdown frame handled above may have started the drain.
-  if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
+  if (shutdown_requested_.load(std::memory_order_acquire) &&
+      !loop_.draining()) {
     BeginShutdown();
   }
-
   // End of iteration: one engine drain (micro-batched across everything
-  // the iteration enqueued), then opportunistic writes.
+  // the iteration enqueued), then opportunistic writes. Results still owed
+  // to a closed connection are dropped in RouteResults.
   PumpEngine();
-  for (auto& [id, conn] : connections_) {
-    if (!conn->dead && write_backlog(*conn) > 0) {
-      HandleWritable(*conn);
-    }
-    if (conn->draining && !conn->dead && write_backlog(*conn) == 0) {
-      conn->dead = true;
-    }
+  loop_.Reap();
+  if (loop_.draining() &&
+      (loop_.connections().empty() || loop_.drain_expired())) {
+    loop_.Stop();
   }
-  serve::Metrics& metrics = engine_->mutable_metrics();
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->second->dead) {
-      // Results still owed to this connection are dropped in RouteResults
-      // when the owner no longer resolves.
-      metrics.connections_closed.fetch_add(1, std::memory_order_relaxed);
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  num_connections_.store(connections_.size(), std::memory_order_relaxed);
-
-  if (draining_) {
-    const bool drained = connections_.empty();
-    const bool expired = clock_.ElapsedMicros() >= drain_deadline_micros_;
-    if (drained || expired) {
-      metrics.connections_closed.fetch_add(connections_.size(),
-                                           std::memory_order_relaxed);
-      connections_.clear();
-      num_connections_.store(0, std::memory_order_relaxed);
-      stopped_ = true;
-    }
-  }
-  return !stopped_;
-}
-
-void Server::AcceptPending() {
-  serve::Metrics& metrics = engine_->mutable_metrics();
-  while (connections_.size() <
-         static_cast<size_t>(options_.max_connections)) {
-    UniqueFd fd;
-    if (Status s = AcceptTcp(listen_fd_.get(), &fd); !s.ok()) {
-      return;
-    }
-    if (!fd.valid()) {
-      return;  // Nothing pending.
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = std::move(fd);
-    conn->id = next_connection_id_++;
-    metrics.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    connections_.emplace(conn->id, std::move(conn));
-  }
-}
-
-void Server::HandleReadable(Connection& conn) {
-  serve::Metrics& metrics = engine_->mutable_metrics();
-  uint8_t buf[64 * 1024];
-  for (;;) {
-    size_t received = 0;
-    bool eof = false;
-    Status s = RecvNonBlocking(conn.fd.get(), buf, sizeof(buf), &received,
-                               &eof);
-    if (!s.ok() || eof) {
-      conn.dead = true;
-      break;
-    }
-    if (received == 0) {
-      break;  // Drained the socket.
-    }
-    metrics.bytes_received.fetch_add(received, std::memory_order_relaxed);
-    conn.in.insert(conn.in.end(), buf, buf + received);
-  }
-
-  size_t offset = 0;
-  while (!conn.dead && !conn.draining) {
-    Frame frame;
-    size_t consumed = 0;
-    Status s = DecodeFrame(conn.in.data() + offset, conn.in.size() - offset,
-                           options_.max_payload_bytes, &frame, &consumed);
-    if (!s.ok()) {
-      metrics.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      FailConnection(conn, s);
-      break;
-    }
-    if (consumed == 0) {
-      break;  // Partial frame; wait for more bytes.
-    }
-    offset += consumed;
-    metrics.frames_received.fetch_add(1, std::memory_order_relaxed);
-    HandleFrame(conn, frame);
-  }
-  if (offset > 0) {
-    conn.in.erase(conn.in.begin(),
-                  conn.in.begin() + static_cast<ptrdiff_t>(offset));
-  } else if (conn.in.capacity() > kCompactThreshold && conn.in.empty()) {
-    conn.in.shrink_to_fit();
-  }
-}
-
-void Server::HandleWritable(Connection& conn) {
-  serve::Metrics& metrics = engine_->mutable_metrics();
-  while (write_backlog(conn) > 0) {
-    size_t sent = 0;
-    Status s = SendNonBlocking(conn.fd.get(), conn.out.data() + conn.out_sent,
-                               write_backlog(conn), &sent);
-    if (!s.ok()) {
-      conn.dead = true;
-      return;
-    }
-    if (sent == 0) {
-      break;  // Kernel buffer full; POLLOUT will retry.
-    }
-    conn.out_sent += sent;
-    metrics.bytes_sent.fetch_add(sent, std::memory_order_relaxed);
-  }
-  if (conn.out_sent == conn.out.size()) {
-    conn.out.clear();
-    conn.out_sent = 0;
-  } else if (conn.out_sent > kCompactThreshold) {
-    conn.out.erase(conn.out.begin(),
-                   conn.out.begin() + static_cast<ptrdiff_t>(conn.out_sent));
-    conn.out_sent = 0;
-  }
+  num_connections_.store(loop_.connections().size(),
+                         std::memory_order_relaxed);
+  return !loop_.stopped();
 }
 
 void Server::HandleFrame(Connection& conn, const Frame& frame) {
@@ -293,7 +105,7 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
       Frame pong;
       pong.type = FrameType::kPong;
       pong.request_id = frame.request_id;
-      SendFrame(conn, pong);
+      conn.Send(pong);
       break;
     }
     case FrameType::kMetricsRequest: {
@@ -304,21 +116,20 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
       // separate RPC.
       engine_->mutable_metrics().UpdateResourcePeaks();
       response.text = engine_->metrics().ToJson();
-      SendFrame(conn, response);
+      conn.Send(response);
       break;
     }
     case FrameType::kIngestBatch:
       HandleIngestBatch(conn, frame);
       break;
     case FrameType::kScore: {
-      Frame reply;
-      reply.request_id = frame.request_id;
-      if (conn.inflight_scores >= options_.max_inflight_scores ||
-          write_backlog(conn) > options_.max_write_buffer_bytes) {
-        reply.type = FrameType::kOverloaded;
-        reply.status_code = StatusCode::kOverloaded;
-        reply.text = "connection at its in-flight score cap";
-        SendFrame(conn, reply);
+      if (conn.ShedIfBacklogged(frame.request_id)) {
+        break;
+      }
+      size_t& inflight = inflight_scores_[conn.id()];
+      if (inflight >= options_.max_inflight_scores) {
+        conn.Send(StatusReply(FrameType::kOverloaded, frame.request_id,
+                              InflightCapStatus()));
         break;
       }
       serve::Event event;
@@ -327,22 +138,21 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
       event.label = frame.label;
       Status st = IngestWithRetry(event);
       if (st.code() == StatusCode::kOverloaded) {
-        reply.type = FrameType::kOverloaded;
-        reply.status_code = st.code();
-        reply.text = st.message();
-        SendFrame(conn, reply);
+        conn.Send(StatusReply(FrameType::kOverloaded, frame.request_id, st));
       } else if (!st.ok()) {
         // A typed failure still produces exactly one SCORE_RESULT.
+        Frame reply;
         reply.type = FrameType::kScoreResult;
+        reply.request_id = frame.request_id;
         serve::ScoreResult result;
         result.session_id = frame.session_id;
         result.status = st;
         result.label = frame.label;
         reply.results.push_back(std::move(result));
-        SendFrame(conn, reply);
+        conn.Send(reply);
       } else {
-        score_owner_.push_back(conn.id);
-        ++conn.inflight_scores;
+        score_owner_.push_back(conn.id());
+        ++inflight;
       }
       break;
     }
@@ -370,46 +180,24 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
       } else {
         reply.text = st.message();
       }
-      SendFrame(conn, reply);
+      conn.Send(reply);
       break;
     }
     case FrameType::kSessionImport: {
-      Frame reply;
-      reply.type = FrameType::kIngestAck;
-      reply.request_id = frame.request_id;
       serve::SessionState state;
       Status st = serve::ParseSessionState(frame.blob.data(),
                                            frame.blob.size(), &state);
       if (st.ok()) {
         st = engine_->ImportSession(state);
       }
-      reply.status_code = st.code();
-      if (!st.ok()) {
-        reply.text = st.message();
-      } else {
-        reply.events_applied = 1;
-      }
-      SendFrame(conn, reply);
+      SendAdminAck(conn, frame.request_id, st);
       break;
     }
-    case FrameType::kModelLoad: {
-      Frame reply;
-      reply.type = FrameType::kIngestAck;
-      reply.request_id = frame.request_id;
-      Status st = engine_->LoadModelVersion(frame.name, frame.text);
-      reply.status_code = st.code();
-      if (st.ok()) {
-        reply.events_applied = 1;
-      } else {
-        reply.text = st.message();
-      }
-      SendFrame(conn, reply);
+    case FrameType::kModelLoad:
+      SendAdminAck(conn, frame.request_id,
+                   engine_->LoadModelVersion(frame.name, frame.text));
       break;
-    }
     case FrameType::kModelActivate: {
-      Frame reply;
-      reply.type = FrameType::kIngestAck;
-      reply.request_id = frame.request_id;
       model::ModelRegistry& registry = engine_->registry();
       Status st;
       switch (static_cast<ModelAdminMode>(frame.mode)) {
@@ -433,13 +221,7 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
           st = registry.ClearShadow();
           break;
       }
-      reply.status_code = st.code();
-      if (st.ok()) {
-        reply.events_applied = 1;
-      } else {
-        reply.text = st.message();
-      }
-      SendFrame(conn, reply);
+      SendAdminAck(conn, frame.request_id, st);
       break;
     }
     case FrameType::kModelStatus: {
@@ -448,7 +230,7 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
       reply.request_id = frame.request_id;
       reply.status_code = StatusCode::kOk;
       reply.text = engine_->registry().StatusJson();
-      SendFrame(conn, reply);
+      conn.Send(reply);
       break;
     }
     case FrameType::kGoodbye:
@@ -458,65 +240,45 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
     default: {
       engine_->mutable_metrics().protocol_errors.fetch_add(
           1, std::memory_order_relaxed);
-      FailConnection(
-          conn, Status::InvalidArgument(
-                    std::string("unexpected frame type from client: ") +
-                    FrameTypeName(frame.type)));
+      conn.Fail(Status::InvalidArgument(
+          std::string("unexpected frame type from client: ") +
+          FrameTypeName(frame.type)));
       break;
     }
   }
 }
 
 void Server::HandleIngestBatch(Connection& conn, const Frame& frame) {
-  Frame reply;
-  reply.request_id = frame.request_id;
-  if (write_backlog(conn) > options_.max_write_buffer_bytes) {
-    reply.type = FrameType::kOverloaded;
-    reply.status_code = StatusCode::kOverloaded;
-    reply.text = "write buffer full; collect your responses";
-    SendFrame(conn, reply);
+  if (conn.ShedIfBacklogged(frame.request_id)) {
     return;
   }
+  size_t& inflight = inflight_scores_[conn.id()];
   uint64_t applied = 0;
   for (const serve::Event& event : frame.events) {
     if (event.kind == serve::Event::Kind::kScore &&
-        conn.inflight_scores >= options_.max_inflight_scores) {
-      reply.type = FrameType::kOverloaded;
-      reply.status_code = StatusCode::kOverloaded;
-      reply.events_applied = applied;
-      reply.text = "connection at its in-flight score cap";
-      SendFrame(conn, reply);
+        inflight >= options_.max_inflight_scores) {
+      conn.Send(StatusReply(FrameType::kOverloaded, frame.request_id,
+                            InflightCapStatus(), applied));
       return;
     }
     Status st = IngestWithRetry(event);
-    if (st.code() == StatusCode::kOverloaded) {
-      reply.type = FrameType::kOverloaded;
-      reply.status_code = st.code();
-      reply.events_applied = applied;
-      reply.text = st.message();
-      SendFrame(conn, reply);
-      return;
-    }
     if (!st.ok()) {
-      // The batch aborts at the first bad event; the ack tells the client
-      // exactly where.
-      reply.type = FrameType::kIngestAck;
-      reply.status_code = st.code();
-      reply.events_applied = applied;
-      reply.text = st.message();
-      SendFrame(conn, reply);
+      // The batch stops at the first shed or bad event; the reply tells the
+      // client exactly where.
+      conn.Send(StatusReply(st.code() == StatusCode::kOverloaded
+                                ? FrameType::kOverloaded
+                                : FrameType::kIngestAck,
+                            frame.request_id, st, applied));
       return;
     }
     if (event.kind == serve::Event::Kind::kScore) {
-      score_owner_.push_back(conn.id);
-      ++conn.inflight_scores;
+      score_owner_.push_back(conn.id());
+      ++inflight;
     }
     ++applied;
   }
-  reply.type = FrameType::kIngestAck;
-  reply.status_code = StatusCode::kOk;
-  reply.events_applied = applied;
-  SendFrame(conn, reply);
+  conn.Send(
+      StatusReply(FrameType::kIngestAck, frame.request_id, Status(), applied));
 }
 
 Status Server::IngestWithRetry(const serve::Event& event) {
@@ -552,65 +314,24 @@ void Server::RouteResults(const std::vector<serve::ScoreResult>& results) {
     per_connection[owner].push_back(result);
   }
   for (auto& [owner, owned] : per_connection) {
-    auto it = connections_.find(owner);
-    if (it == connections_.end() || it->second->dead) {
+    Connection* conn = loop_.Find(owner);
+    if (conn == nullptr) {
       continue;  // The requester is gone; its results are dropped.
     }
-    Connection& conn = *it->second;
-    conn.inflight_scores -= owned.size();
+    inflight_scores_[owner] -= owned.size();
     Frame frame;
     frame.type = FrameType::kScoreResult;
     frame.results = std::move(owned);
-    SendFrame(conn, frame);
+    conn->Send(frame);
   }
-}
-
-void Server::SendFrame(Connection& conn, const Frame& frame) {
-  if (conn.dead) {
-    return;
-  }
-  const size_t start = conn.out.size();
-  EncodeFrame(frame, &conn.out);
-  // Injected wire corruption: flips a header byte of the frame just encoded
-  // (magic/version/reserved only, so the peer always sees a typed kDataLoss
-  // rather than an aliased frame or a length stall).
-  failpoint::Hit hit;
-  if (TPGNN_FAILPOINT("server.corrupt_frame", &hit)) {
-    failpoint::CorruptFrameHeader(hit, conn.out.data() + start,
-                                  conn.out.size() - start);
-  }
-  engine_->mutable_metrics().frames_sent.fetch_add(1,
-                                                   std::memory_order_relaxed);
-}
-
-void Server::FailConnection(Connection& conn, const Status& status) {
-  Frame error;
-  error.type = FrameType::kError;
-  error.status_code = status.code();
-  error.text = status.message();
-  SendFrame(conn, error);
-  conn.draining = true;
-  // Stop reading immediately: the stream past the bad frame is garbage.
-  shutdown(conn.fd.get(), SHUT_RD);
 }
 
 void Server::BeginShutdown() {
-  draining_ = true;
-  listen_fd_.reset();
   // Every enqueued score is flushed and delivered before any GOODBYE, so a
   // graceful shutdown never loses a SCORE_RESULT.
   PumpEngine();
-  for (auto& [id, conn] : connections_) {
-    if (conn->dead) {
-      continue;
-    }
-    Frame goodbye;
-    goodbye.type = FrameType::kGoodbye;
-    SendFrame(*conn, goodbye);
-    conn->draining = true;
-  }
-  drain_deadline_micros_ =
-      clock_.ElapsedMicros() + options_.drain_timeout_ms * 1000.0;
+  loop_.BeginDrain();
+  loop_.GoodbyeAll();
 }
 
 }  // namespace tpgnn::net

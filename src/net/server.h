@@ -5,24 +5,22 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "net/event_loop.h"
 #include "net/protocol.h"
 #include "serve/inference_engine.h"
-#include "util/net.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
-// Poll-based non-blocking TCP front-end over serve::InferenceEngine.
+// TCP front-end over serve::InferenceEngine: the frame handler on top of
+// net::EventLoop (net/event_loop.h), which owns the sockets, buffers and
+// shutdown drain.
 //
-// One thread (the caller of Run / PollOnce) owns all sockets: an accept
-// loop plus per-connection read and write buffers. Clients pipeline frames
-// freely; the server decodes every complete frame per poll iteration,
-// dispatches events into the engine, and at the end of the iteration drains
-// the engine's score queue once, routing each ScoreResult back to the
-// connection that requested it (the engine returns results in request
+// Clients pipeline frames freely; every complete frame of a poll iteration
+// is dispatched into the engine, and at the end of the iteration the server
+// drains the engine's score queue once, routing each ScoreResult back to
+// the connection that requested it (the engine returns results in request
 // order, which is exactly the order of this server's enqueues). Session
 // affinity is the caller's contract inherited from the engine: all events
 // of one session must arrive on one connection, in order.
@@ -33,7 +31,7 @@
 //   * the engine's bounded score queue (kOverloaded from Ingest; the server
 //     first drains one micro-batch and retries once before giving up),
 //   * a per-connection in-flight score cap (max_inflight_scores),
-//   * a per-connection write-buffer cap (max_write_buffer_bytes): while a
+//   * the per-connection write backlog (kMaxWriteBacklogBytes): while a
 //     client is slow to read its responses, new ingest work is rejected
 //     rather than buffered without bound.
 //
@@ -42,23 +40,15 @@
 // (SHUTDOWN frame, RequestShutdown(), or SIGINT wired by the caller) stops
 // accepting, flushes every pending score through the engine, delivers all
 // SCORE_RESULT frames, appends a GOODBYE to each connection, and closes
-// once write buffers drain (bounded by drain_timeout_ms).
+// once write buffers drain (bounded by kDrainTimeoutMs).
 
 namespace tpgnn::net {
 
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   int port = 0;  // 0 = pick an ephemeral port; see Server::port().
-  int backlog = 64;
-  int max_connections = 64;
-  uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  // Per-connection caps (see class comment).
+  // Per-connection in-flight score cap (see class comment).
   size_t max_inflight_scores = 256;
-  size_t max_write_buffer_bytes = 4u << 20;
-  // Poll granularity of Run(); also bounds shutdown latency.
-  int poll_timeout_ms = 20;
-  // Bound on the drain-then-close phase of a graceful shutdown.
-  int drain_timeout_ms = 5000;
 };
 
 class Server {
@@ -73,7 +63,7 @@ class Server {
 
   // Binds and listens. After success port() returns the bound port.
   Status Start();
-  int port() const { return port_; }
+  int port() const { return loop_.port(); }
 
   // Runs the poll loop until a graceful shutdown completes.
   void Run();
@@ -102,20 +92,6 @@ class Server {
   }
 
  private:
-  struct Connection {
-    UniqueFd fd;
-    uint64_t id = 0;
-    std::vector<uint8_t> in;    // Unparsed received bytes.
-    std::vector<uint8_t> out;   // Encoded responses not yet written.
-    size_t out_sent = 0;        // Prefix of `out` already on the wire.
-    size_t inflight_scores = 0;
-    bool draining = false;  // No more reads; close once `out` flushes.
-    bool dead = false;      // Remove at end of iteration.
-  };
-
-  void AcceptPending();
-  void HandleReadable(Connection& conn);
-  void HandleWritable(Connection& conn);
   void HandleFrame(Connection& conn, const Frame& frame);
   void HandleIngestBatch(Connection& conn, const Frame& frame);
   // Ingests one event with the drain-once-and-retry overload policy.
@@ -123,31 +99,16 @@ class Server {
   // Drains one engine micro-batch and routes results to their connections.
   void PumpEngine();
   void RouteResults(const std::vector<serve::ScoreResult>& results);
-  void SendFrame(Connection& conn, const Frame& frame);
-  // Typed-error teardown: ERROR frame, stop reading, close after flush.
-  void FailConnection(Connection& conn, const Status& status);
   void BeginShutdown();
-  size_t write_backlog(const Connection& conn) const {
-    return conn.out.size() - conn.out_sent;
-  }
 
   serve::InferenceEngine* const engine_;
   const ServerOptions options_;
-  UniqueFd listen_fd_;
-  int port_ = 0;
-  // Self-pipe so RequestShutdown can wake a blocked poll().
-  UniqueFd wake_read_;
-  UniqueFd wake_write_;
+  EventLoop loop_;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> abort_requested_{false};
-  bool draining_ = false;
-  bool stopped_ = false;
-  double drain_deadline_micros_ = 0.0;
-  Stopwatch clock_;
 
-  uint64_t next_connection_id_ = 1;
-  // std::map keeps iteration order deterministic.
-  std::map<uint64_t, std::unique_ptr<Connection>> connections_;
+  // Scores each connection has enqueued but not been answered for.
+  std::map<uint64_t, size_t> inflight_scores_;
   // Connection id of every enqueued-but-unanswered score, in engine
   // request order.
   std::deque<uint64_t> score_owner_;

@@ -18,6 +18,7 @@
 #include "data/datasets.h"
 #include "net/client.h"
 #include "nn/checkpoint.h"
+#include "testing/temp_path.h"
 #include "util/failpoint.h"
 
 namespace tpgnn::cluster {
@@ -26,8 +27,7 @@ namespace {
 constexpr uint64_t kCheckpointSeed = 7;  // != kClusterSeed: v2 scores differ.
 
 std::string WriteCheckpoint(const std::string& tag) {
-  const std::string path =
-      ::testing::TempDir() + "model_roll_" + tag + ".ckpt";
+  const std::string path = UniqueTempPath(tag + ".ckpt");
   const core::TpGnnConfig config = serve::TinyServeConfig();
   core::TpGnnModel model(config, kCheckpointSeed);
   Status s = nn::SaveParameters(model, path, core::ConfigMetadata(config));

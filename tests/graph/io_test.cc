@@ -1,4 +1,5 @@
 #include "graph/io.h"
+#include "testing/temp_path.h"
 
 #include <cstdio>
 #include <sstream>
@@ -75,7 +76,7 @@ TEST(DatasetIoTest, RoundTripThroughFile) {
   GraphDataset dataset;
   dataset.push_back({MakeGraph(), 1});
   dataset.push_back({MakeGraph(), 0});
-  const std::string path = ::testing::TempDir() + "/tpgnn_dataset_test.txt";
+  const std::string path = UniqueTempPath("dataset.txt");
   ASSERT_TRUE(SaveDataset(path, dataset).ok());
   GraphDataset loaded;
   ASSERT_TRUE(LoadDataset(path, &loaded).ok());
@@ -93,7 +94,7 @@ TEST(DatasetIoTest, MissingFileIsNotFound) {
 }
 
 TEST(DatasetIoTest, EmptyDatasetRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_empty_ds.txt";
+  const std::string path = UniqueTempPath("empty_ds.txt");
   ASSERT_TRUE(SaveDataset(path, {}).ok());
   GraphDataset loaded;
   ASSERT_TRUE(LoadDataset(path, &loaded).ok());

@@ -18,6 +18,7 @@
 #include "nn/checkpoint.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "testing/temp_path.h"
 
 namespace tpgnn::model {
 namespace {
@@ -34,14 +35,6 @@ float Logit(core::TpGnnModel& model, const graph::TemporalGraph& g) {
   tensor::NoGradGuard no_grad;
   Rng rng(0);
   return model.ForwardLogit(g, /*training=*/false, rng).item();
-}
-
-// Temp checkpoint path unique per test to keep parallel ctest runs apart.
-std::string TempCheckpointPath(const std::string& tag) {
-  const ::testing::TestInfo* info =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "registry_" + info->name() + "_" + tag +
-         ".ckpt";
 }
 
 TEST(ModelRegistryTest, InitialVersionIsPrimary) {
@@ -167,7 +160,7 @@ TEST(ModelRegistryTest, RetireRefusesActiveRolesAndHandlesKeepVersionsAlive) {
 
 TEST(ModelRegistryTest, LoadRoundTripsCheckpointParameters) {
   const core::TpGnnConfig config = TinyConfig();
-  const std::string path = TempCheckpointPath("v2");
+  const std::string path = UniqueTempPath("v2.ckpt");
   core::TpGnnModel source(config, /*seed=*/99);
   ASSERT_TRUE(
       nn::SaveParameters(source, path, core::ConfigMetadata(config)).ok());
@@ -197,7 +190,7 @@ TEST(ModelRegistryTest, LoadRoundTripsCheckpointParameters) {
 TEST(ModelRegistryTest, LoadRejectsWrongArchitectureBeforeParameters) {
   core::TpGnnConfig other = TinyConfig();
   other.embed_dim = 16;  // Different architecture.
-  const std::string path = TempCheckpointPath("wrong_arch");
+  const std::string path = UniqueTempPath("wrong_arch.ckpt");
   core::TpGnnModel source(other, /*seed=*/99);
   ASSERT_TRUE(
       nn::SaveParameters(source, path, core::ConfigMetadata(other)).ok());
@@ -215,7 +208,7 @@ TEST(ModelRegistryTest, LoadRejectsWrongArchitectureBeforeParameters) {
 
 TEST(ModelRegistryTest, InjectedLoadFaultLeavesRegistryUntouched) {
   const core::TpGnnConfig config = TinyConfig();
-  const std::string path = TempCheckpointPath("faulted");
+  const std::string path = UniqueTempPath("faulted.ckpt");
   core::TpGnnModel source(config, /*seed=*/99);
   ASSERT_TRUE(
       nn::SaveParameters(source, path, core::ConfigMetadata(config)).ok());

@@ -16,6 +16,7 @@
 #include "net/protocol.h"
 #include "net_test_util.h"
 #include "nn/checkpoint.h"
+#include "testing/temp_path.h"
 
 namespace tpgnn::net {
 namespace {
@@ -23,8 +24,7 @@ namespace {
 constexpr uint64_t kCheckpointSeed = 7;
 
 std::string WriteCheckpoint(const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "model_admin_" + tag +
-                           ".ckpt";
+  const std::string path = UniqueTempPath(tag + ".ckpt");
   const core::TpGnnConfig config = serve::TinyServeConfig();
   core::TpGnnModel model(config, kCheckpointSeed);
   Status s = nn::SaveParameters(model, path, core::ConfigMetadata(config));

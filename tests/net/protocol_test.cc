@@ -1,15 +1,20 @@
 // Wire-protocol round-trips and framing rules: every frame type encodes and
 // decodes to an identical Frame, prefixes report need-more instead of
 // erroring, and each class of header/payload corruption maps to its
-// documented typed error.
+// documented typed error. The framed connection of the event loop
+// reassembles frames that arrive in pieces, past its compaction threshold.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "net/event_loop.h"
 #include "net/protocol.h"
 #include "serve/event.h"
+#include "util/net.h"
 
 namespace tpgnn::net {
 namespace {
@@ -428,6 +433,78 @@ TEST(ProtocolTest, OversizedPayloadLengthIsInvalidArgumentFromHeaderAlone) {
   Status status = DecodeFrame(wire.data(), wire.size(),
                               /*max_payload_bytes=*/1024, &frame, &consumed);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ConnectionTest, ReassemblesSplitFramesPastTheCompactThreshold) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UniqueFd peer(fds[1]);
+  ASSERT_TRUE(SetNonBlocking(fds[0], true).ok());
+  ASSERT_TRUE(SetNonBlocking(fds[1], true).ok());
+  Connection conn(UniqueFd(fds[0]), /*id=*/1,
+                  Connection::Direction::kInbound);
+
+  // One frame larger than kCompactThreshold, then small ones behind it.
+  std::vector<Frame> sent(4);
+  sent[0].type = FrameType::kMetricsResponse;
+  sent[0].text = std::string(kCompactThreshold + kCompactThreshold / 2, 'x');
+  for (size_t i = 1; i < sent.size(); ++i) {
+    sent[i].type = FrameType::kPing;
+    sent[i].request_id = i;
+  }
+  std::vector<uint8_t> wire;
+  for (const Frame& frame : sent) {
+    EncodeFrame(frame, &wire);
+  }
+  ASSERT_GT(wire.size(), kCompactThreshold);
+
+  auto expect_frames = [&](const std::vector<Frame>& got) {
+    ASSERT_EQ(got.size(), sent.size());
+    EXPECT_EQ(got[0].type, FrameType::kMetricsResponse);
+    EXPECT_EQ(got[0].text, sent[0].text);
+    for (size_t i = 1; i < sent.size(); ++i) {
+      EXPECT_EQ(got[i].type, FrameType::kPing);
+      EXPECT_EQ(got[i].request_id, i);
+    }
+  };
+
+  // Read side: a header split mid-way, then the rest in socket-sized
+  // pieces the connection must stitch together across many reads.
+  std::vector<Frame> received;
+  auto on_frame = [&](const Frame& frame) { received.push_back(frame); };
+  ASSERT_TRUE(SendAll(peer.get(), wire.data(), 5, 1000).ok());
+  size_t written = 5;
+  ASSERT_TRUE(conn.Read(on_frame).ok());
+  EXPECT_TRUE(received.empty());
+  while (written < wire.size()) {
+    size_t sent_now = 0;
+    ASSERT_TRUE(SendNonBlocking(peer.get(), wire.data() + written,
+                                wire.size() - written, &sent_now)
+                    .ok());
+    written += sent_now;
+    ASSERT_TRUE(conn.Read(on_frame).ok());
+  }
+  ASSERT_FALSE(conn.dead);
+  expect_frames(received);
+
+  // Write side: the same frames queued at once flush in pieces as the
+  // peer drains its socket, with the sent prefix compacted along the way.
+  for (const Frame& frame : sent) {
+    conn.Send(frame);
+  }
+  std::vector<uint8_t> echoed;
+  while (conn.backlog() > 0 || echoed.size() < wire.size()) {
+    conn.Flush();
+    ASSERT_FALSE(conn.dead);
+    uint8_t buf[64 * 1024];
+    size_t got = 0;
+    bool eof = false;
+    ASSERT_TRUE(
+        RecvNonBlocking(peer.get(), buf, sizeof(buf), &got, &eof).ok());
+    ASSERT_FALSE(eof);
+    echoed.insert(echoed.end(), buf, buf + got);
+  }
+  EXPECT_EQ(echoed, wire);
 }
 
 }  // namespace

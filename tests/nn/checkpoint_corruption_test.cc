@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/linear.h"
+#include "testing/temp_path.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -113,7 +114,7 @@ class CheckpointCorruptionTest : public ::testing::TestWithParam<bool> {
   void SetUp() override {
     failpoint::ClearAll();
     failpoint::SetSeed(1);
-    path_ = ::testing::TempDir() + "/tpgnn_corrupt_ckpt.txt";
+    path_ = UniqueTempPath("corrupt_ckpt.txt");
     pristine_ = SnapshotBytes(GetParam(), path_);
     TinyModel reference(7);
     reference_values_ = Flatten(reference);
@@ -274,8 +275,7 @@ TEST_P(CheckpointCorruptionTest, InjectedTornReadFailsTyped) {
 }
 
 TEST_P(CheckpointCorruptionTest, TornWriteReportsErrorAndNeverLoads) {
-  const std::string torn_path =
-      ::testing::TempDir() + "/tpgnn_torn_ckpt.txt";
+  const std::string torn_path = UniqueTempPath("torn_ckpt.txt");
   for (uint64_t budget : {0ull, 5ull, 25ull, 60ull}) {
     SCOPED_TRACE("torn write of " + std::to_string(budget) + " bytes");
     ScopedFailpoint torn("checkpoint.write", 1.0, Kind::kShortIo, budget);
@@ -295,8 +295,7 @@ TEST_P(CheckpointCorruptionTest, TornWriteReportsErrorAndNeverLoads) {
 }
 
 TEST_P(CheckpointCorruptionTest, InjectedWriteErrorLeavesNoFileBehind) {
-  const std::string fail_path =
-      ::testing::TempDir() + "/tpgnn_failed_ckpt.txt";
+  const std::string fail_path = UniqueTempPath("failed_ckpt.txt");
   ScopedFailpoint fail("checkpoint.write", 1.0, Kind::kReturnError);
   TinyModel model(7);
   Status s = SaveParameters(model, fail_path);

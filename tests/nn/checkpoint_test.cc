@@ -8,6 +8,7 @@
 
 #include "nn/gru_cell.h"
 #include "nn/linear.h"
+#include "testing/temp_path.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -33,7 +34,7 @@ class TwoLayer : public Module {
 };
 
 TEST(CheckpointTest, SaveLoadRestoresOutputs) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt.txt";
+  const std::string path = UniqueTempPath("ckpt.txt");
   TwoLayer source(1);
   Rng rng(9);
   tensor::Tensor x = tensor::Tensor::Uniform({3, 4}, -1, 1, rng);
@@ -48,7 +49,7 @@ TEST(CheckpointTest, SaveLoadRestoresOutputs) {
 }
 
 TEST(CheckpointTest, ArchitectureMismatchIsRejected) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt2.txt";
+  const std::string path = UniqueTempPath("ckpt2.txt");
   TwoLayer source(1);
   ASSERT_TRUE(SaveParameters(source, path).ok());
   Rng rng(3);
@@ -65,7 +66,7 @@ TEST(CheckpointTest, MissingFileIsNotFound) {
 }
 
 TEST(CheckpointTest, CorruptFileIsRejected) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt3.txt";
+  const std::string path = UniqueTempPath("ckpt3.txt");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs("garbage contents", f);
@@ -76,7 +77,7 @@ TEST(CheckpointTest, CorruptFileIsRejected) {
 }
 
 TEST(CheckpointTest, RoundTripPreservesExactValuesApproximately) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt4.txt";
+  const std::string path = UniqueTempPath("ckpt4.txt");
   Rng rng(5);
   Linear fc(3, 3, rng);
   std::vector<float> before = fc.Parameters()[0].data();
@@ -93,7 +94,7 @@ TEST(CheckpointTest, RoundTripPreservesExactValuesApproximately) {
 }
 
 TEST(CheckpointTest, MetadataRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt5.txt";
+  const std::string path = UniqueTempPath("ckpt5.txt");
   TwoLayer source(1);
   CheckpointMetadata metadata;
   metadata["model"] = "tp-gnn";
@@ -132,7 +133,7 @@ std::string SavedValueRegion(const std::string& path) {
 TEST(CheckpointTest, EmptyMetadataWritesVersionThreeWithEmptyMetaBlock) {
   // Every new save carries the integrity trailer, so even metadata-free
   // files are version 3 with a `meta 0` block.
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt6.txt";
+  const std::string path = UniqueTempPath("ckpt6.txt");
   TwoLayer source(1);
   ASSERT_TRUE(SaveParameters(source, path).ok());
   std::ifstream in(path);
@@ -153,7 +154,7 @@ TEST(CheckpointTest, EmptyMetadataWritesVersionThreeWithEmptyMetaBlock) {
 }
 
 TEST(CheckpointTest, VersionOneFileStillLoads) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt7.txt";
+  const std::string path = UniqueTempPath("ckpt7.txt");
   TwoLayer source(1);
   ASSERT_TRUE(SaveParameters(source, path).ok());
   // Rewrite as a legacy v1 file: bare header, no meta block, no trailer.
@@ -175,7 +176,7 @@ TEST(CheckpointTest, VersionOneFileStillLoads) {
 }
 
 TEST(CheckpointTest, VersionTwoFileStillLoads) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt7b.txt";
+  const std::string path = UniqueTempPath("ckpt7b.txt");
   TwoLayer source(1);
   ASSERT_TRUE(SaveParameters(source, path).ok());
   // Rewrite as a legacy v2 file: meta block, no crc32 trailer.
@@ -197,7 +198,7 @@ TEST(CheckpointTest, VersionTwoFileStillLoads) {
 }
 
 TEST(CheckpointTest, ValueCorruptionFailsChecksum) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt7c.txt";
+  const std::string path = UniqueTempPath("ckpt7c.txt");
   TwoLayer source(1);
   ASSERT_TRUE(SaveParameters(source, path).ok());
   std::ifstream in(path, std::ios::binary);
@@ -222,7 +223,7 @@ TEST(CheckpointTest, ValueCorruptionFailsChecksum) {
 }
 
 TEST(CheckpointTest, InvalidMetadataKeysRejectedAtSave) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt8.txt";
+  const std::string path = UniqueTempPath("ckpt8.txt");
   TwoLayer source(1);
   EXPECT_EQ(SaveParameters(source, path, {{"bad key", "v"}}).code(),
             StatusCode::kInvalidArgument);
@@ -233,7 +234,7 @@ TEST(CheckpointTest, InvalidMetadataKeysRejectedAtSave) {
 }
 
 TEST(CheckpointTest, DuplicateMetadataKeyInFileRejected) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt9.txt";
+  const std::string path = UniqueTempPath("ckpt9.txt");
   std::ofstream out(path);
   out << "tpgnn-params 2\nmeta 2\nk a\nk b\n0\n";
   out.close();
@@ -243,7 +244,7 @@ TEST(CheckpointTest, DuplicateMetadataKeyInFileRejected) {
 }
 
 TEST(CheckpointTest, UnknownVersionRejected) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_ckpt10.txt";
+  const std::string path = UniqueTempPath("ckpt10.txt");
   std::ofstream out(path);
   out << "tpgnn-params 9\n0\n";
   out.close();

@@ -14,6 +14,7 @@
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
 #include "serve_test_util.h"
+#include "testing/temp_path.h"
 
 namespace tpgnn::serve {
 namespace {
@@ -175,7 +176,7 @@ TEST(EngineTest, BeginSweepsIdleSessions) {
 }
 
 TEST(EngineTest, SnapshotRoundTripAndConfigValidation) {
-  const std::string path = ::testing::TempDir() + "/tpgnn_serve_snapshot.txt";
+  const std::string path = UniqueTempPath("snapshot.txt");
   const core::TpGnnConfig config = TinyServeConfig();
   core::TpGnnModel trained(config, /*seed=*/77);
   ASSERT_TRUE(
@@ -201,7 +202,7 @@ TEST(EngineTest, SnapshotRoundTripAndConfigValidation) {
 
   // A v1 snapshot (no metadata) skips config validation but still load-time
   // verifies names and shapes.
-  const std::string v1 = ::testing::TempDir() + "/tpgnn_serve_snapshot_v1.txt";
+  const std::string v1 = UniqueTempPath("snapshot_v1.txt");
   ASSERT_TRUE(nn::SaveParameters(trained, v1).ok());
   InferenceEngine v1_engine(config, /*seed=*/5, EngineOptions{});
   EXPECT_TRUE(v1_engine.LoadSnapshot(v1).ok());

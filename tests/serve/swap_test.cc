@@ -19,6 +19,7 @@
 #include "serve/inference_engine.h"
 #include "serve/session_shard.h"
 #include "serve_test_util.h"
+#include "testing/temp_path.h"
 #include "util/failpoint.h"
 
 namespace tpgnn::serve {
@@ -320,7 +321,7 @@ TEST(SwapChaosTest, ExactlyOnceScoringAndExactAttributionAcrossSwap) {
   const core::TpGnnConfig config = TinyServeConfig();
 
   // A real checkpoint so the chaos sweep exercises the full load path.
-  const std::string path = ::testing::TempDir() + "swap_chaos_v2.ckpt";
+  const std::string path = UniqueTempPath("v2.ckpt");
   {
     core::TpGnnModel v2(config, kV2Seed);
     ASSERT_TRUE(
