@@ -78,8 +78,9 @@ bool Server::PollOnce(int timeout_ms) {
       !loop_.draining()) {
     BeginShutdown();
   }
-  // End of iteration: one engine drain (micro-batched across everything
-  // the iteration enqueued), then opportunistic writes. Results still owed
+  // End of iteration: one engine collection (the oldest results of what
+  // the iteration enqueued, computed meanwhile on the pool), then
+  // opportunistic writes. Results still owed
   // to a closed connection are dropped in RouteResults.
   PumpEngine();
   loop_.Reap();
@@ -162,9 +163,8 @@ void Server::HandleFrame(Connection& conn, const Frame& frame) {
     case FrameType::kSessionExport: {
       // Migration handover: snapshot the session and, on success, drop it —
       // the requesting router installs the snapshot elsewhere, and two live
-      // copies would double-apply any replayed event. In-flight scores
-      // pinned here still complete against the pinned state (End defers
-      // removal to the last Unpin).
+      // copies would double-apply any replayed event. Scores already queued
+      // here still complete: each holds the snapshot taken at its enqueue.
       Frame reply;
       reply.type = FrameType::kSessionState;
       reply.request_id = frame.request_id;

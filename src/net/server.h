@@ -96,7 +96,8 @@ class Server {
   void HandleIngestBatch(Connection& conn, const Frame& frame);
   // Ingests one event with the drain-once-and-retry overload policy.
   Status IngestWithRetry(const serve::Event& event);
-  // Drains one engine micro-batch and routes results to their connections.
+  // Collects one batch of engine results and routes them to their
+  // connections.
   void PumpEngine();
   void RouteResults(const std::vector<serve::ScoreResult>& results);
   void BeginShutdown();

@@ -2,8 +2,7 @@
 #define TPGNN_SERVE_INFERENCE_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,27 +18,35 @@
 // Online inference engine: the front door of the serving subsystem.
 //
 //   * Ingest(event) applies Begin/Edge/End to the owning shard inline
-//     (constant-time state updates) and enqueues Score requests onto a
-//     bounded queue. A full queue — or a shard whose resident cap cannot be
-//     relieved because every session is pinned — is reported as an explicit
-//     kOverloaded Status instead of buffering without bound; the caller
-//     sheds load or drains with ProcessPending and retries.
-//   * ProcessPending() drains up to options.max_batch queued score requests
-//     as one micro-batch across the ThreadPool: requests are scored
-//     concurrently (each serializes only on its session's shard mutex) and
-//     results return in request order. Enqueued requests pin their session
-//     so LRU/TTL/cap eviction can never drop an in-flight score.
-//   * Latency accounting: ingest_latency per Ingest call, score_latency for
-//     the scoring computation, e2e_latency from Score enqueue to result.
+//     (constant-time state updates). A Score takes the shard's short locked
+//     step at once — SessionShard::Snapshot copies what the score reads —
+//     and queues the rest as a job on a bounded queue. The score therefore
+//     reflects exactly the events of its session that preceded it in the
+//     stream, whatever arrives before it is computed. A full queue is
+//     reported as an explicit kOverloaded Status instead of buffering
+//     without bound; the caller sheds load or drains with ProcessPending
+//     and retries.
+//   * Jobs compute (fold, FinalizeState, extractor, classifier) without any
+//     lock, on the process-wide ThreadPool while the caller keeps ingesting.
+//     Workers are woken only while at least two queued jobs are unclaimed,
+//     so a lone score its caller is about to collect never crosses threads;
+//     with TPGNN_NUM_THREADS=1 every job runs inline in ProcessPending.
+//     Constructing an engine starts no thread.
+//   * ProcessPending() is the collector: it returns the oldest <= max_batch
+//     results in request order, running itself every one of those jobs no
+//     worker has started and waiting for the rest.
+//   * Latency accounting: ingest_latency per Ingest call, queue_micros from
+//     enqueue to job start, score_latency/score_micros from job start to
+//     result, e2e_latency from enqueue to result (see serve/metrics.h).
 //
 // Model lifecycle (DESIGN.md §4.8): the engine owns a model::ModelRegistry
 // and every session scores against the version handle it resolved at Begin.
 // LoadModelVersion / ActivateModel are the process-local verbs behind the
 // MODEL_LOAD / MODEL_ACTIVATE admin frames; registry() exposes the full
-// surface (A/B candidate, shadow, retire). When a shadow version is set,
-// every completed primary score is re-scored under it on the same worker,
-// after the primary's latency is recorded — the shadow logit feeds only the
-// metrics shadow block and is never part of any ScoreResult.
+// surface (A/B candidate, shadow, retire). When a shadow version is set at
+// a score's snapshot, the job re-scores the same prefix under it after the
+// primary's latency is recorded — the shadow logit feeds only the metrics
+// shadow block and is never part of any ScoreResult.
 //
 // Snapshots: LoadSnapshot reads a nn::checkpoint file into the initial
 // version in place (the pre-serving bootstrap path). A version-2 file
@@ -52,7 +59,9 @@
 //
 // Threading: Ingest and ProcessPending are thread-safe. Events of one
 // session must be submitted in order (one producer per session); scores are
-// deterministic per session given the event prefix that preceded them.
+// deterministic per session given the event prefix that preceded them,
+// independent of thread count and of when ProcessPending runs. Destroying
+// the engine drops the jobs no worker has started and waits for the rest.
 
 namespace tpgnn::serve {
 
@@ -63,9 +72,10 @@ struct EngineOptions {
   // TTL for idle sessions in stream seconds; <= 0 disables. Swept on
   // session Begin events.
   double idle_ttl_seconds = 0.0;
-  // Bounded score-request queue (backpressure); must be >= 1.
+  // Bounded score queue: jobs enqueued and not yet collected (backpressure);
+  // must be >= 1.
   size_t max_pending_scores = 256;
-  // Max score requests drained per ProcessPending micro-batch.
+  // Max score results collected per ProcessPending call.
   size_t max_batch = 64;
 };
 
@@ -73,6 +83,10 @@ class InferenceEngine {
  public:
   InferenceEngine(const core::TpGnnConfig& config, uint64_t seed,
                   const EngineOptions& options);
+  ~InferenceEngine();
+
+  InferenceEngine(const InferenceEngine&) = delete;
+  InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   // Loads model parameters into the initial version from `path`, validating
   // the config metadata block first (see class comment). Pre-serving
@@ -97,14 +111,15 @@ class InferenceEngine {
   model::ModelRegistry& registry() { return registry_; }
   const model::ModelRegistry& registry() const { return registry_; }
 
-  // Applies one event. Begin/Edge/End run inline; Score enqueues. Returns
-  // kOverloaded when the score queue (or the resident cap, with every
-  // session pinned) is full.
+  // Applies one event. Begin/Edge/End run inline; Score snapshots its
+  // session and enqueues. Returns kOverloaded when the score queue is full,
+  // kNotFound for a Score of an unknown session (nothing is enqueued).
   Status Ingest(const Event& event);
 
-  // Scores up to options.max_batch pending requests on the global
-  // ThreadPool, appending results to `*results` in request order. Returns
-  // the number of requests processed (0 when the queue is empty).
+  // Collects the oldest min(options.max_batch, pending) score results,
+  // appending them to `*results` in request order: runs every one of those
+  // jobs no pool worker has started, then waits for the rest. Returns the
+  // number of results appended (0 when the queue is empty).
   size_t ProcessPending(std::vector<ScoreResult>* results);
 
   // Drains the queue completely.
@@ -126,11 +141,19 @@ class InferenceEngine {
   SessionRouter& router() { return router_; }
 
  private:
-  struct PendingScore {
-    uint64_t session_id = 0;
-    int label = -1;
-    double enqueue_micros = 0.0;  // Engine clock at enqueue.
-  };
+  struct ScoreJob;
+  struct ScoreQueue;
+
+  // Snapshots a Score's session and queues its job (see class comment).
+  Status Enqueue(const Event& event);
+  // Computes one claimed job and accounts its result (then its shadow).
+  void RunJob(ScoreJob& job);
+  // Records a ready result into the latency histograms and counters.
+  void Account(const ScoreResult& result, double e2e_micros);
+  // Pool task: claims and runs unclaimed jobs, oldest first, until none is
+  // left or the engine is gone.
+  static void Help(const std::shared_ptr<ScoreQueue>& queue,
+                   InferenceEngine* engine);
 
   const EngineOptions options_;
   model::ModelRegistry registry_;
@@ -138,8 +161,9 @@ class InferenceEngine {
   SessionRouter router_;
   Stopwatch clock_;  // Monotone engine clock for latency accounting.
 
-  mutable std::mutex queue_mu_;
-  std::deque<PendingScore> pending_;
+  // Score jobs, shared with the pool tasks that help run them: a task that
+  // starts after the engine is destroyed finds the queue closed and leaves.
+  const std::shared_ptr<ScoreQueue> queue_;
 };
 
 }  // namespace tpgnn::serve

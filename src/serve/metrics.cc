@@ -12,20 +12,34 @@
 
 namespace tpgnn::serve {
 
-namespace {
-
-// Bucket index for a microsecond sample: floor(log2(micros)), clamped.
-int BucketIndex(double micros) {
+int LatencyHistogram::BucketIndex(double micros) {
   if (!(micros >= 1.0)) {  // Also catches NaN.
     return 0;
   }
-  const int idx = static_cast<int>(std::log2(micros));
-  return idx >= LatencyHistogram::kNumBuckets
-             ? LatencyHistogram::kNumBuckets - 1
-             : idx;
+  // micros = mantissa * 2^exponent with mantissa in [0.5, 1): the octave is
+  // exponent - 1 and the sub-bucket the top bits of the mantissa; both
+  // steps are exact in binary floating point.
+  int exponent = 0;
+  const double mantissa = std::frexp(micros, &exponent);
+  const int octave = exponent - 1;
+  if (octave >= kOctaves) {
+    return kNumBuckets - 1;
+  }
+  const int sub = static_cast<int>((2.0 * mantissa - 1.0) * kSubBuckets);
+  return 1 + octave * kSubBuckets + sub;
 }
 
-}  // namespace
+double LatencyHistogram::BucketUpperMicros(int bucket) {
+  if (bucket <= 0) {
+    return 1.0;
+  }
+  if (bucket >= kNumBuckets - 1) {
+    return std::ldexp(1.0, kOctaves + 1);
+  }
+  const int octave = (bucket - 1) / kSubBuckets;
+  const int sub = (bucket - 1) % kSubBuckets;
+  return std::ldexp(1.0 + static_cast<double>(sub + 1) / kSubBuckets, octave);
+}
 
 void LatencyHistogram::Record(double micros) {
   if (micros < 0.0 || std::isnan(micros)) {
@@ -61,11 +75,10 @@ double LatencyHistogram::Snapshot::PercentileMicros(double q) const {
   for (int i = 0; i < kNumBuckets; ++i) {
     cumulative += buckets[static_cast<size_t>(i)];
     if (static_cast<double>(cumulative) >= target) {
-      // Upper edge of bucket i: 2^(i+1) µs (bucket 0 covers [0, 2)).
-      return std::ldexp(1.0, i + 1);
+      return BucketUpperMicros(i);
     }
   }
-  return std::ldexp(1.0, kNumBuckets);
+  return BucketUpperMicros(kNumBuckets - 1);
 }
 
 void Metrics::RecordShadowDelta(double abs_delta) {

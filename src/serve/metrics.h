@@ -16,12 +16,21 @@
 
 namespace tpgnn::serve {
 
-// Power-of-two-bucketed latency histogram over microseconds: bucket i
-// counts samples in [2^i, 2^(i+1)) µs (bucket 0 is [0, 2)), the last
-// bucket absorbs overflow. 26 buckets cover 1 µs .. ~33 s.
+// Log-linear latency histogram over microseconds (HdrHistogram style):
+// bucket 0 counts [0, 1) µs; above it every octave [2^k, 2^(k+1)) µs,
+// k = 0 .. kOctaves-1, splits into kSubBuckets equal-width buckets, so a
+// bucket's upper edge overstates any sample in it by at most 1/kSubBuckets
+// (12.5%); the last bucket absorbs overflow from 2^kOctaves µs (~33 s) up.
+// Merging adds bucket counts, so it stays exact.
 class LatencyHistogram {
  public:
-  static constexpr int kNumBuckets = 26;
+  static constexpr int kSubBuckets = 8;
+  static constexpr int kOctaves = 25;
+  static constexpr int kNumBuckets = 1 + kOctaves * kSubBuckets + 1;
+
+  // Bucket index of a sample, and the upper edge of a bucket in µs.
+  static int BucketIndex(double micros);
+  static double BucketUpperMicros(int bucket);
 
   void Record(double micros);
 
@@ -190,7 +199,10 @@ class Metrics {
 
   // Latency distributions, all in microseconds.
   LatencyHistogram ingest_latency;  // One Ingest(event) call.
-  LatencyHistogram score_latency;   // The scoring computation.
+  // A score job from its start to its result: fold, finalize, extractor
+  // and classifier, with no lock or queue wait in it (ScoreResult::
+  // score_micros). The wait before it is ScoreResult::queue_micros.
+  LatencyHistogram score_latency;
   LatencyHistogram e2e_latency;     // Score enqueue -> result ready.
   LatencyHistogram shadow_latency;  // One shadow re-score (off hot path).
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/temporal_propagation.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -13,14 +12,95 @@ namespace tpgnn::serve {
 using graph::TemporalEdge;
 using tensor::Tensor;
 
+namespace {
+
+// Folds order[from, end) into the raw node state `x` (Algorithm 1 steps).
+void FoldNodeState(const core::TemporalPropagation& prop,
+                   const std::vector<TemporalEdge>& order, int64_t from,
+                   int64_t end, double max_time, Tensor& x,
+                   core::PropagationScratch& scratch) {
+  for (int64_t i = from; i < end; ++i) {
+    const double prev_time =
+        i > 0 ? order[static_cast<size_t>(i - 1)].time : 0.0;
+    prop.PropagateEdgeState(x, order[static_cast<size_t>(i)], max_time,
+                            prev_time, scratch);
+  }
+}
+
+// Folds order[from, end) into the SUM time accumulator `m` (Eq. 4).
+void FoldTimeState(const core::TemporalPropagation& prop,
+                   const std::vector<TemporalEdge>& order, int64_t from,
+                   int64_t end, double max_time, Tensor& m,
+                   core::PropagationScratch& scratch) {
+  for (int64_t i = from; i < end; ++i) {
+    prop.AccumulateEdgeTime(m, order[static_cast<size_t>(i)], max_time,
+                            scratch);
+  }
+}
+
+// Executor arena for folds that run outside any session (score and shadow
+// compute on pool workers), one per thread.
+core::PropagationScratch& ThreadScratch() {
+  thread_local core::PropagationScratch scratch;
+  return scratch;
+}
+
+// One folded state component — the raw node state x, or the SUM time
+// accumulator m when the config has one — with its bookkeeping: how many
+// chronological-prefix edges are folded in, under which normalization
+// max-time. A snapshot advances the bookkeeping as if the fold ran then and
+// leaves the fold to its score, which writes the tensor back; until it
+// does, `gen` names that score and `value` lags the bookkeeping, so eager
+// folds wait and the next snapshot refolds from the base. The counters read
+// only the bookkeeping, which is why they do not depend on when or where
+// scores compute.
+struct Fold {
+  Tensor value;
+  int64_t edges = 0;
+  double max_time = 0.0;
+  uint64_t gen = 0;  // Nonzero while `value` lags the bookkeeping.
+};
+
+// Decides at a snapshot how `fold` reaches `total` edges: a `stale` fold
+// is discarded and counted as a state_refold; the snapshot gets the tensor
+// to extend in `*value` (a copy of the fold, or the base — `*base`, or
+// zeros when null — when there is nothing to extend) and the index to
+// extend from; the bookkeeping advances as if the fold ran now. `*gen` is
+// the write-back generation, left 0 when nothing is left to fold.
+void PlanFold(Fold& fold, bool stale, const Tensor* base, int64_t total,
+              double max_time, Metrics* metrics, uint64_t* last_gen,
+              Tensor* value, int64_t* from, uint64_t* gen) {
+  if (stale) {
+    fold.edges = 0;
+    if (metrics != nullptr) {
+      metrics->state_refolds.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // A lagging tensor is not here to extend: refold from the base.
+  *from = fold.gen == 0 ? fold.edges : 0;
+  if (*from > 0) {
+    *value = fold.value.Clone();
+  } else {
+    *value = base != nullptr ? base->Clone() : Tensor::Zeros(fold.value.shape());
+  }
+  if (*from < total) {
+    fold.edges = total;
+    fold.gen = ++*last_gen;
+    *gen = fold.gen;
+  }
+  fold.max_time = max_time;
+}
+
+}  // namespace
+
 struct SessionShard::Session {
   Session(int64_t num_nodes, int64_t feature_dim)
       : graph(num_nodes, feature_dim) {}
 
   graph::TemporalGraph graph;  // Features + growing edge list.
   Tensor x0;  // Cached initial embedding (Eq. 1), never mutated.
-  Tensor x;   // Raw folded node state (pre-readout).
-  Tensor m;   // Raw folded SUM time accumulator, when the config has one.
+  Fold x;     // Raw folded node state (pre-readout).
+  Fold m;     // Raw folded SUM time accumulator, when the config has one.
   core::PropagationScratch scratch;
 
   // Pinned model version: every kernel this session runs (X0, folds,
@@ -35,23 +115,15 @@ struct SessionShard::Session {
   // epoch triggers re-resolution at the next touch.
   uint64_t assign_epoch = 0;
 
-  // Fold bookkeeping: how many chronological-prefix edges are folded into
-  // x / m, and under which normalization max-time.
-  int64_t x_edges = 0;
-  int64_t m_edges = 0;
-  double x_max_time = 0.0;
-  double m_max_time = 0.0;
   // True while edges have arrived in nondecreasing time order, in which
   // case insertion order IS the chronological order (stable sort identity).
   bool sorted = true;
   // True while the folded x/m prefixes are prefixes of the CURRENT
   // chronological order. Cleared when a late edge (below the running max)
-  // reorders the chronology; restored by the next EnsureFolded, after which
+  // reorders the chronology; restored by the next score, after which
   // in-order edges eager-fold again — so one late edge costs one refold,
   // not the session's remaining lifetime.
   bool fold_chrono = true;
-  // Chronological order scratch for unsorted sessions.
-  std::vector<TemporalEdge> chrono;
 
   // Rescale bookkeeping (TimeBasis::kInvariant): edge count and max-time at
   // the last finalize, so a later score under a moved max is counted as the
@@ -60,8 +132,6 @@ struct SessionShard::Session {
   double finalized_max = 0.0;
 
   double last_touch = 0.0;  // Stream time of the last ingest event.
-  int pinned = 0;           // In-flight score requests.
-  bool ended = false;       // End received while pinned; removal deferred.
   std::list<uint64_t>::iterator lru_it;
 };
 
@@ -117,13 +187,7 @@ Status SessionShard::BeginSession(uint64_t session_id, int64_t num_nodes,
   }
   while (options_.max_resident_sessions > 0 &&
          sessions_.size() >= options_.max_resident_sessions) {
-    if (!EvictOneLocked()) {
-      if (metrics_ != nullptr) {
-        metrics_->overload_rejections.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::Overloaded(
-          "shard at resident-session cap with every session pinned");
-    }
+    EvictLruLocked();
   }
 
   auto session = std::make_unique<Session>(num_nodes, feature_dim);
@@ -140,9 +204,9 @@ Status SessionShard::BeginSession(uint64_t session_id, int64_t num_nodes,
     const core::TemporalPropagation& prop = session->version->model()
                                                 .propagation();
     session->x0 = prop.EmbedInitial(session->graph);
-    session->x = session->x0.Clone();
+    session->x.value = session->x0.Clone();
     if (prop.has_time_accumulator()) {
-      session->m = Tensor::Zeros({num_nodes, prop.time_state_dim()});
+      session->m.value = Tensor::Zeros({num_nodes, prop.time_state_dim()});
     }
   }
   session->last_touch = now;
@@ -167,22 +231,19 @@ void SessionShard::MaybeRebaseLocked(uint64_t session_id, Session& s) {
     return;
   }
   // The assignment moved the session onto different parameters: recompute
-  // X0 and discard every folded component so the next EnsureFolded replays
-  // the full edge list under the new version. Nothing derived from the old
-  // parameters survives — that is the zero-mixed-versions invariant.
+  // X0 and discard every folded component so the next score replays the
+  // full edge list under the new version. Nothing derived from the old
+  // parameters survives — that is the zero-mixed-versions invariant — and a
+  // queued score's write-back no longer matches a generation.
   s.version = std::move(resolved);
   s.state_seq = s.version->seq();
   {
     tensor::NoGradGuard no_grad;
     const core::TemporalPropagation& prop = s.version->model().propagation();
     s.x0 = prop.EmbedInitial(s.graph);
-    s.x = s.x0.Clone();
-    s.x_edges = 0;
-    s.x_max_time = 0.0;
+    s.x = Fold{s.x0.Clone()};
     if (prop.has_time_accumulator()) {
-      s.m = Tensor::Zeros({s.graph.num_nodes(), prop.time_state_dim()});
-      s.m_edges = 0;
-      s.m_max_time = 0.0;
+      s.m = Fold{Tensor::Zeros({s.graph.num_nodes(), prop.time_state_dim()})};
     }
   }
   // An empty folded prefix is trivially a chronological prefix.
@@ -202,10 +263,6 @@ Status SessionShard::AddEdge(uint64_t session_id, int64_t src, int64_t dst,
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
   Session& s = *it->second;
-  if (s.ended) {
-    return Status::FailedPrecondition("session " + std::to_string(session_id) +
-                                      " already ended");
-  }
   const int64_t n = s.graph.num_nodes();
   if (src < 0 || src >= n || dst < 0 || dst >= n) {
     return Status::InvalidArgument("edge endpoint out of range");
@@ -228,11 +285,12 @@ Status SessionShard::AddEdge(uint64_t session_id, int64_t src, int64_t dst,
 
   // Eager fold: advance any component whose fold stays valid regardless of
   // future edges. Components invalidated by max-time changes (see header)
-  // are left for EnsureFolded at score time instead of being folded and
-  // thrown away per edge. The gate is fold_chrono, not sorted: an edge at
-  // or above the running max is chronologically last even in a session that
-  // saw earlier disorder, so eager folding resumes once a refold has
-  // re-synced the prefixes.
+  // are left for the next score instead of being folded and thrown away per
+  // edge, and so is a component whose tensor a queued score has yet to
+  // write back. The gate is fold_chrono, not sorted: an edge at or above
+  // the running max is chronologically last even in a session that saw
+  // earlier disorder, so eager folding resumes once a refold has re-synced
+  // the prefixes.
   const core::TemporalPropagation& prop = s.version->model().propagation();
   const core::TpGnnConfig& config = registry_.config();
   if (s.fold_chrono && config.use_temporal_propagation()) {
@@ -245,121 +303,48 @@ Status SessionShard::AddEdge(uint64_t session_id, int64_t src, int64_t dst,
     // broken by insertion order, the new edge sorts after every equal-time
     // edge, whose timestamp is exactly old_max.
     const double prev_time = total >= 2 ? old_max : 0.0;
-    if (!prop.StateDependsOnMaxTime() && s.x_edges == total - 1) {
-      prop.PropagateEdgeState(s.x, e, max_time, prev_time, s.scratch);
-      s.x_edges = total;
-      s.x_max_time = max_time;
+    if (!prop.StateDependsOnMaxTime() && s.x.gen == 0 &&
+        s.x.edges == total - 1) {
+      prop.PropagateEdgeState(s.x.value, e, max_time, prev_time, s.scratch);
+      s.x.edges = total;
+      s.x.max_time = max_time;
     }
     if (prop.has_time_accumulator() && !prop.AccumulatorDependsOnMaxTime() &&
-        s.m_edges == total - 1) {
-      prop.AccumulateEdgeTime(s.m, e, max_time, s.scratch);
-      s.m_edges = total;
-      s.m_max_time = max_time;
+        s.m.gen == 0 && s.m.edges == total - 1) {
+      prop.AccumulateEdgeTime(s.m.value, e, max_time, s.scratch);
+      s.m.edges = total;
+      s.m.max_time = max_time;
     }
   }
 
-  TouchLocked(session_id, s, now);
+  TouchLocked(s, now);
   if (metrics_ != nullptr) {
     metrics_->edges_ingested.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::Ok();
 }
 
-const std::vector<TemporalEdge>& SessionShard::EnsureFolded(
-    Session& s, bool force_refold) {
-  const core::TemporalPropagation& prop = s.version->model().propagation();
-  const core::TpGnnConfig& config = registry_.config();
-  const std::vector<TemporalEdge>* order = &s.graph.edges();
-  if (!s.sorted) {
-    s.chrono = s.graph.ChronologicalEdges();
-    order = &s.chrono;
-  }
-  if (!config.use_temporal_propagation()) {
-    return *order;  // State is X0 untouched; nothing folds.
-  }
-
-  const double max_time = s.graph.MaxTime();
-  const int64_t total = s.graph.num_edges();
-
-  // Node state x. For an unsorted session the previously folded prefix may
-  // not be a prefix of the new chronological order, so any growth forces a
-  // rebuild; for max-coupled state (GRU + Time2Vec under normalize_time in
-  // the absolute basis) a max-time change re-times every folded step. The
-  // invariant basis removes the max coupling, so only the unsorted case
-  // (and the forced shard.rescale fallback) remains.
-  const bool x_stale =
-      s.x_edges > 0 &&
-      (force_refold ||
-       (prop.StateDependsOnMaxTime() && s.x_max_time != max_time) ||
-       (!s.fold_chrono && s.x_edges != total));
-  if (x_stale) {
-    s.x = s.x0.Clone();
-    s.x_edges = 0;
-    if (metrics_ != nullptr) {
-      metrics_->state_refolds.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  for (int64_t i = s.x_edges; i < total; ++i) {
-    const double prev_time =
-        i > 0 ? (*order)[static_cast<size_t>(i - 1)].time : 0.0;
-    prop.PropagateEdgeState(s.x, (*order)[static_cast<size_t>(i)], max_time,
-                            prev_time, s.scratch);
-  }
-  s.x_edges = total;
-  s.x_max_time = max_time;
-
-  // SUM time accumulator m: in the absolute basis normalization couples
-  // every folded f(t) to the current max time; in the invariant basis the
-  // raw-time sums never go stale under a max move.
-  if (prop.has_time_accumulator()) {
-    const bool m_stale =
-        s.m_edges > 0 &&
-        (force_refold ||
-         (prop.AccumulatorDependsOnMaxTime() && s.m_max_time != max_time) ||
-         (!s.fold_chrono && s.m_edges != total));
-    if (m_stale) {
-      std::fill(s.m.MutableData().begin(), s.m.MutableData().end(), 0.0f);
-      s.m_edges = 0;
-      if (metrics_ != nullptr) {
-        metrics_->state_refolds.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    for (int64_t i = s.m_edges; i < total; ++i) {
-      prop.AccumulateEdgeTime(s.m, (*order)[static_cast<size_t>(i)], max_time,
-                              s.scratch);
-    }
-    s.m_edges = total;
-    s.m_max_time = max_time;
-  }
-  // Everything folded matches the full chronological order now, so edges at
-  // or above the max may eager-fold again.
-  s.fold_chrono = true;
-  return *order;
-}
-
-Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
-  TPGNN_CHECK(result != nullptr);
-  result->session_id = session_id;
-  // Injected scoring failure/delay. The delay runs BEFORE taking mu_, so a
-  // pinned session sits exposed while eviction sweeps race against it —
-  // exactly the window the pin protocol must protect.
-  failpoint::Hit hit;
-  if (TPGNN_FAILPOINT("shard.score", &hit)) {
-    if (hit.kind == failpoint::Kind::kDelay) {
-      failpoint::ApplyDelay(hit);
-    } else {
-      result->status =
-          failpoint::InjectedError(StatusCode::kInternal, "shard.score");
-      return result->status;
-    }
-  }
-  Stopwatch watch;
+Status SessionShard::Snapshot(uint64_t session_id, ScoreSnapshot* snap) {
+  TPGNN_CHECK(snap != nullptr);
+  *snap = ScoreSnapshot();
+  snap->session_id = session_id;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) {
-    result->status =
-        Status::NotFound("unknown session " + std::to_string(session_id));
-    return result->status;
+    return Status::NotFound("unknown session " + std::to_string(session_id));
+  }
+  // Injected scoring failure/delay, evaluated once per score of a live
+  // session, in stream order: an error fire fails this score without
+  // touching the session; a delay fire is served by Compute, off the lock.
+  failpoint::Hit hit;
+  if (TPGNN_FAILPOINT("shard.score", &hit)) {
+    if (hit.kind == failpoint::Kind::kDelay) {
+      snap->delay = hit;
+    } else {
+      snap->status =
+          failpoint::InjectedError(StatusCode::kInternal, "shard.score");
+      return Status::Ok();
+    }
   }
   Session& s = *it->second;
   MaybeRebaseLocked(session_id, s);
@@ -371,10 +356,11 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
   if (s.version->seq() != s.state_seq && metrics_ != nullptr) {
     metrics_->mixed_version_scores.fetch_add(1, std::memory_order_relaxed);
   }
-  // Injected rescale fallback: any non-delay fire forces EnsureFolded to
-  // discard every folded component and replay it — the legacy refold path —
-  // which must reproduce the eagerly folded state bit-for-bit. Evaluated
-  // once per score of a live session, so fire counts map 1:1 to scores.
+  // Injected rescale fallback: any non-delay fire discards every folded
+  // component with a nonempty prefix so Compute replays it — the legacy
+  // refold path — which must reproduce the eagerly folded state
+  // bit-for-bit. Evaluated once per score of a live session, so fire
+  // counts map 1:1 to scores.
   bool force_refold = false;
   failpoint::Hit rescale_hit;
   if (TPGNN_FAILPOINT("shard.rescale", &rescale_hit)) {
@@ -384,39 +370,132 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
       force_refold = true;
     }
   }
-  {
-    tensor::NoGradGuard no_grad;
-    const core::TpGnnModel& model = s.version->model();
-    const std::vector<TemporalEdge>& order = EnsureFolded(s, force_refold);
-    const core::TpGnnConfig& config = model.config();
-    const double max_time = s.graph.MaxTime();
-    // A score whose finalize carries previously finalized folded state
-    // across a max-time move is the invariant basis absorbing what the
-    // absolute basis would have refolded.
-    const bool invariant_coupled =
-        config.time_basis == core::TimeBasis::kInvariant &&
-        config.normalize_time && config.use_temporal_propagation() &&
-        config.use_time_encoding();
-    if (invariant_coupled && s.finalized_edges > 0 &&
-        s.finalized_max != max_time && metrics_ != nullptr) {
-      metrics_->state_rescales.fetch_add(1, std::memory_order_relaxed);
+
+  const core::TpGnnConfig& config = registry_.config();
+  const core::TemporalPropagation& prop = s.version->model().propagation();
+  const double max_time = s.graph.MaxTime();
+  const int64_t total = s.graph.num_edges();
+  snap->version = s.version;
+  snap->order = s.sorted ? s.graph.edges() : s.graph.ChronologicalEdges();
+  snap->max_time = max_time;
+  if (!config.use_temporal_propagation()) {
+    // Nothing folds: the state is X0 (and a zero accumulator), which no
+    // event ever mutates, so the snapshot may share it.
+    snap->x = s.x.value;
+    snap->m = s.m.value;
+    snap->x_from = total;
+    snap->m_from = total;
+  } else {
+    // Node state x. For an unsorted session the previously folded prefix
+    // may not be a prefix of the new chronological order, so any growth
+    // forces a rebuild; for max-coupled state (GRU + Time2Vec under
+    // normalize_time in the absolute basis) a max-time change re-times
+    // every folded step. The invariant basis removes the max coupling, so
+    // only the unsorted case (and the forced shard.rescale fallback)
+    // remains.
+    const bool x_stale =
+        s.x.edges > 0 &&
+        (force_refold ||
+         (prop.StateDependsOnMaxTime() && s.x.max_time != max_time) ||
+         (!s.fold_chrono && s.x.edges != total));
+    PlanFold(s.x, x_stale, &s.x0, total, max_time, metrics_, &last_gen_,
+             &snap->x, &snap->x_from, &snap->x_gen);
+    // SUM time accumulator m: in the absolute basis normalization couples
+    // every folded f(t) to the current max time; in the invariant basis the
+    // raw-time sums never go stale under a max move.
+    snap->m_from = total;
+    if (prop.has_time_accumulator()) {
+      const bool m_stale =
+          s.m.edges > 0 &&
+          (force_refold ||
+           (prop.AccumulatorDependsOnMaxTime() && s.m.max_time != max_time) ||
+           (!s.fold_chrono && s.m.edges != total));
+      PlanFold(s.m, m_stale, nullptr, total, max_time, metrics_, &last_gen_,
+               &snap->m, &snap->m_from, &snap->m_gen);
     }
-    s.finalized_edges = s.graph.num_edges();
-    s.finalized_max = max_time;
-    Tensor h = model.propagation().FinalizeState(s.x, s.m, max_time);
-    Tensor g = model.EmbedFromNodeStates(h, order);
-    result->logit = model.ClassifyEmbedding(g).item();
+    // Everything folded matches the full chronological order now, so edges
+    // at or above the max may eager-fold again.
+    s.fold_chrono = true;
   }
+  // A score whose finalize carries previously finalized folded state across
+  // a max-time move is the invariant basis absorbing what the absolute
+  // basis would have refolded.
+  const bool invariant_coupled =
+      config.time_basis == core::TimeBasis::kInvariant &&
+      config.normalize_time && config.use_temporal_propagation() &&
+      config.use_time_encoding();
+  if (invariant_coupled && s.finalized_edges > 0 &&
+      s.finalized_max != max_time && metrics_ != nullptr) {
+    metrics_->state_rescales.fetch_add(1, std::memory_order_relaxed);
+  }
+  s.finalized_edges = total;
+  s.finalized_max = max_time;
+  snap->shadow = registry_.shadow();
+  if (snap->shadow != nullptr) {
+    snap->graph = s.graph;
+  }
+  return Status::Ok();
+}
+
+void SessionShard::Compute(ScoreSnapshot* snap, ScoreResult* result) {
+  TPGNN_CHECK(snap != nullptr && result != nullptr);
+  result->session_id = snap->session_id;
+  if (!snap->status.ok()) {
+    result->status = snap->status;
+    return;
+  }
+  failpoint::ApplyDelay(snap->delay);
+  tensor::NoGradGuard no_grad;
+  const core::TpGnnModel& model = snap->version->model();
+  const core::TemporalPropagation& prop = model.propagation();
+  const int64_t total = static_cast<int64_t>(snap->order.size());
+  FoldNodeState(prop, snap->order, snap->x_from, total, snap->max_time,
+                snap->x, ThreadScratch());
+  FoldTimeState(prop, snap->order, snap->m_from, total, snap->max_time,
+                snap->m, ThreadScratch());
+  Tensor h = prop.FinalizeState(snap->x, snap->m, snap->max_time);
+  if (snap->x_gen != 0 || snap->m_gen != 0) {
+    WriteBack(snap);
+  }
+  Tensor g = model.EmbedFromNodeStates(h, snap->order);
+  result->logit = model.ClassifyEmbedding(g).item();
   result->probability = 1.0f / (1.0f + std::exp(-result->logit));
-  result->edges_scored = s.graph.num_edges();
-  result->score_micros = watch.ElapsedMicros();
+  result->edges_scored = total;
   result->status = Status::Ok();
+}
+
+void SessionShard::WriteBack(ScoreSnapshot* snap) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(snap->session_id);
+  if (it == sessions_.end()) {
+    return;
+  }
+  Session& s = *it->second;
+  if (snap->x_gen != 0 && s.x.gen == snap->x_gen) {
+    s.x.value = std::move(snap->x);
+    s.x.gen = 0;
+  }
+  if (snap->m_gen != 0 && s.m.gen == snap->m_gen) {
+    s.m.value = std::move(snap->m);
+    s.m.gen = 0;
+  }
+}
+
+Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
+  TPGNN_CHECK(result != nullptr);
+  ScoreSnapshot snap;
+  if (Status s = Snapshot(session_id, &snap); !s.ok()) {
+    result->session_id = session_id;
+    result->status = s;
+    return s;
+  }
+  Compute(&snap, result);
   return result->status;
 }
 
-Status SessionShard::ShadowScore(uint64_t session_id, float primary_logit) {
-  model::ModelVersionPtr shadow = registry_.shadow();
-  if (shadow == nullptr) {
+Status SessionShard::ShadowScore(const ScoreSnapshot& snap,
+                                 float primary_logit) {
+  if (snap.shadow == nullptr) {
     return Status::Ok();
   }
   // Injected shadow failure: the shadow path must be able to die without
@@ -434,54 +513,31 @@ Status SessionShard::ShadowScore(uint64_t session_id, float primary_logit) {
     }
   }
   Stopwatch watch;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    // The session ended between the primary score and the shadow pass.
-    if (metrics_ != nullptr) {
-      metrics_->shadow_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
-  Session& s = *it->second;
   float shadow_logit = 0.0f;
   {
-    // Full offline replay under the shadow version — nothing is shared with
-    // the session's folded state (which belongs to its pinned version), so
-    // the result is exactly the shadow model's ForwardLogit on this graph.
+    // Full offline replay of the snapshot's prefix under the shadow version
+    // — nothing is shared with the session's folded state (which belongs to
+    // its pinned version), so the result is exactly the shadow model's
+    // ForwardLogit on that prefix.
     tensor::NoGradGuard no_grad;
-    const core::TpGnnModel& model = shadow->model();
+    const core::TpGnnModel& model = snap.shadow->model();
     const core::TemporalPropagation& prop = model.propagation();
-    const core::TpGnnConfig& config = model.config();
-    const std::vector<TemporalEdge>* order = &s.graph.edges();
-    std::vector<TemporalEdge> chrono;
-    if (!s.sorted) {
-      chrono = s.graph.ChronologicalEdges();
-      order = &chrono;
-    }
-    Tensor x = prop.EmbedInitial(s.graph);
+    const int64_t total = static_cast<int64_t>(snap.order.size());
+    Tensor x = prop.EmbedInitial(*snap.graph);
     Tensor m;
     if (prop.has_time_accumulator()) {
-      m = Tensor::Zeros({s.graph.num_nodes(), prop.time_state_dim()});
+      m = Tensor::Zeros({snap.graph->num_nodes(), prop.time_state_dim()});
     }
-    const double max_time = s.graph.MaxTime();
-    if (config.use_temporal_propagation()) {
-      const int64_t total = s.graph.num_edges();
-      for (int64_t i = 0; i < total; ++i) {
-        const double prev_time =
-            i > 0 ? (*order)[static_cast<size_t>(i - 1)].time : 0.0;
-        prop.PropagateEdgeState(x, (*order)[static_cast<size_t>(i)], max_time,
-                                prev_time, s.scratch);
-      }
+    if (model.config().use_temporal_propagation()) {
+      FoldNodeState(prop, snap.order, 0, total, snap.max_time, x,
+                    ThreadScratch());
       if (prop.has_time_accumulator()) {
-        for (int64_t i = 0; i < total; ++i) {
-          prop.AccumulateEdgeTime(m, (*order)[static_cast<size_t>(i)],
-                                  max_time, s.scratch);
-        }
+        FoldTimeState(prop, snap.order, 0, total, snap.max_time, m,
+                      ThreadScratch());
       }
     }
-    Tensor h = prop.FinalizeState(x, m, max_time);
-    Tensor g = model.EmbedFromNodeStates(h, *order);
+    Tensor h = prop.FinalizeState(x, m, snap.max_time);
+    Tensor g = model.EmbedFromNodeStates(h, snap.order);
     shadow_logit = model.ClassifyEmbedding(g).item();
   }
   if (metrics_ != nullptr) {
@@ -499,15 +555,10 @@ Status SessionShard::EndSession(uint64_t session_id) {
   if (it == sessions_.end()) {
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
-  Session& s = *it->second;
   if (metrics_ != nullptr) {
     metrics_->sessions_ended.fetch_add(1, std::memory_order_relaxed);
   }
-  if (s.pinned > 0) {
-    s.ended = true;  // In-flight scores keep the state alive until Unpin.
-    return Status::Ok();
-  }
-  RemoveLocked(session_id, s);
+  RemoveLocked(session_id, *it->second);
   return Status::Ok();
 }
 
@@ -520,10 +571,6 @@ Status SessionShard::ExportSession(uint64_t session_id,
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
   const Session& s = *it->second;
-  if (s.ended) {
-    return Status::FailedPrecondition("session " + std::to_string(session_id) +
-                                      " already ended");
-  }
   *state = SessionState();
   state->session_id = session_id;
   state->num_nodes = s.graph.num_nodes();
@@ -537,18 +584,45 @@ Status SessionShard::ExportSession(uint64_t session_id,
   state->edges = s.graph.edges();
   state->sorted = s.sorted;
   state->fold_chrono = s.fold_chrono;
-  state->x_edges = s.x_edges;
-  state->m_edges = s.m_edges;
-  state->x_max_time = s.x_max_time;
-  state->m_max_time = s.m_max_time;
+  state->x_edges = s.x.edges;
+  state->m_edges = s.m.edges;
+  state->x_max_time = s.x.max_time;
+  state->m_max_time = s.m.max_time;
   state->finalized_edges = s.finalized_edges;
   state->finalized_max = s.finalized_max;
   state->last_touch = s.last_touch;
   state->model_version = s.version->name();
   state->x0 = s.x0.data();
-  state->x = s.x.data();
-  if (s.version->model().propagation().has_time_accumulator()) {
-    state->m = s.m.data();
+  // A component whose tensor a queued score has not written back yet is
+  // refolded here over the same prefix, so the shipped tensor matches the
+  // shipped bookkeeping. Once late edges have reordered the chronology
+  // (fold_chrono false) the next score discards that component anyway, and
+  // its base ships instead.
+  const core::TemporalPropagation& prop = s.version->model().propagation();
+  const bool has_m = prop.has_time_accumulator();
+  std::vector<TemporalEdge> order;
+  if ((s.x.gen != 0 || (has_m && s.m.gen != 0)) && s.fold_chrono) {
+    order = s.sorted ? s.graph.edges() : s.graph.ChronologicalEdges();
+  }
+  tensor::NoGradGuard no_grad;
+  core::PropagationScratch scratch;
+  if (s.x.gen == 0) {
+    state->x = s.x.value.data();
+  } else {
+    Tensor x = s.x0.Clone();
+    if (s.fold_chrono) {
+      FoldNodeState(prop, order, 0, s.x.edges, s.x.max_time, x, scratch);
+    }
+    state->x = x.data();
+  }
+  if (has_m && s.m.gen == 0) {
+    state->m = s.m.value.data();
+  } else if (has_m) {
+    Tensor m = Tensor::Zeros(s.m.value.shape());
+    if (s.fold_chrono) {
+      FoldTimeState(prop, order, 0, s.m.edges, s.m.max_time, m, scratch);
+    }
+    state->m = m.data();
   }
   if (metrics_ != nullptr) {
     metrics_->sessions_exported.fetch_add(1, std::memory_order_relaxed);
@@ -610,13 +684,7 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
   }
   while (options_.max_resident_sessions > 0 &&
          sessions_.size() >= options_.max_resident_sessions) {
-    if (!EvictOneLocked()) {
-      if (metrics_ != nullptr) {
-        metrics_->overload_rejections.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::Overloaded(
-          "shard at resident-session cap with every session pinned");
-    }
+    EvictLruLocked();
   }
 
   auto session = std::make_unique<Session>(state.num_nodes, state.feature_dim);
@@ -636,11 +704,11 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
   // recomputed one.
   session->x0 = Tensor::FromVector({state.num_nodes, config.embed_dim},
                                    state.x0);
-  session->x = Tensor::FromVector({state.num_nodes, config.embed_dim},
-                                  state.x);
+  session->x.value = Tensor::FromVector({state.num_nodes, config.embed_dim},
+                                        state.x);
   if (prop.has_time_accumulator()) {
-    session->m = Tensor::FromVector({state.num_nodes, prop.time_state_dim()},
-                                    state.m);
+    session->m.value = Tensor::FromVector(
+        {state.num_nodes, prop.time_state_dim()}, state.m);
   }
   // Pin the snapshot's version and stamp the session current: the imported
   // pin survives a destination whose primary differs (that is the point of
@@ -650,10 +718,10 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
   session->assign_epoch = registry_.assignment_epoch();
   session->sorted = state.sorted;
   session->fold_chrono = state.fold_chrono;
-  session->x_edges = state.x_edges;
-  session->m_edges = state.m_edges;
-  session->x_max_time = state.x_max_time;
-  session->m_max_time = state.m_max_time;
+  session->x.edges = state.x_edges;
+  session->m.edges = state.m_edges;
+  session->x.max_time = state.x_max_time;
+  session->m.max_time = state.m_max_time;
   session->finalized_edges = state.finalized_edges;
   session->finalized_max = state.finalized_max;
   session->last_touch = state.last_touch > 0.0 ? state.last_touch : now;
@@ -666,52 +734,17 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
   return Status::Ok();
 }
 
-Status SessionShard::Pin(uint64_t session_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
-  ++it->second->pinned;
-  return Status::Ok();
-}
-
-void SessionShard::Unpin(uint64_t session_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return;
-  }
-  Session& s = *it->second;
-  TPGNN_CHECK_GT(s.pinned, 0);
-  if (--s.pinned == 0 && s.ended) {
-    RemoveLocked(session_id, s);
-  }
-}
-
 void SessionShard::EvictIdle(double now) {
   if (options_.idle_ttl_seconds <= 0.0) {
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
   // LRU order is most-recent-first, so expired sessions cluster at the
-  // back; walk from the back and stop at the first live one.
-  std::vector<uint64_t> expired;
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const Session& s = *sessions_.at(*it);
-    if (now - s.last_touch <= options_.idle_ttl_seconds) {
-      break;
-    }
-    if (s.pinned == 0) {
-      expired.push_back(*it);
-    }
-  }
-  for (uint64_t id : expired) {
-    auto it = sessions_.find(id);
-    RemoveLocked(id, *it->second);
-    if (metrics_ != nullptr) {
-      metrics_->sessions_evicted.fetch_add(1, std::memory_order_relaxed);
-    }
+  // back; evict from the back and stop at the first live one.
+  while (!lru_.empty() &&
+         now - sessions_.at(lru_.back())->last_touch >
+             options_.idle_ttl_seconds) {
+    EvictLruLocked();
   }
 }
 
@@ -720,19 +753,12 @@ size_t SessionShard::resident_sessions() const {
   return sessions_.size();
 }
 
-bool SessionShard::EvictOneLocked() {
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    Session& s = *sessions_.at(*it);
-    if (s.pinned == 0) {
-      const uint64_t id = *it;
-      RemoveLocked(id, s);
-      if (metrics_ != nullptr) {
-        metrics_->sessions_evicted.fetch_add(1, std::memory_order_relaxed);
-      }
-      return true;
-    }
+void SessionShard::EvictLruLocked() {
+  const uint64_t id = lru_.back();
+  RemoveLocked(id, *sessions_.at(id));
+  if (metrics_ != nullptr) {
+    metrics_->sessions_evicted.fetch_add(1, std::memory_order_relaxed);
   }
-  return false;
 }
 
 void SessionShard::RemoveLocked(uint64_t session_id, Session& s) {
@@ -740,11 +766,10 @@ void SessionShard::RemoveLocked(uint64_t session_id, Session& s) {
   sessions_.erase(session_id);
 }
 
-void SessionShard::TouchLocked(uint64_t session_id, Session& s, double now) {
+void SessionShard::TouchLocked(Session& s, double now) {
   s.last_touch = now;
   lru_.splice(lru_.begin(), lru_, s.lru_it);
   s.lru_it = lru_.begin();
-  (void)session_id;
 }
 
 // --- SessionRouter ----------------------------------------------------------

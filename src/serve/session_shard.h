@@ -5,6 +5,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "serve/metrics.h"
 #include "serve/session_state.h"
 #include "tensor/tensor.h"
+#include "util/failpoint.h"
 #include "util/status.h"
 
 // Hash-sharded per-session incremental inference state.
@@ -23,8 +25,20 @@
 // Eq.-1 GEMM), and the raw propagated node state folded edge-by-edge
 // through core::TemporalPropagation's single-edge steps. Scoring finalizes
 // a copy of the folded state and runs the extractor + classifier stages of
-// the model — bit-identical to TpGnnModel::ForwardLogit on the fully built
-// graph (see tests/serve/parity_test.cc).
+// the model — bit-identical to TpGnnModel::ForwardLogit on the graph built
+// so far (see tests/serve/parity_test.cc).
+//
+// Scoring is two steps (DESIGN.md §4.3). Snapshot runs under the shard
+// mutex: it evaluates the shard.score / shard.rescale failpoints, picks up a
+// pending rebase, decides which folded components are stale (counting
+// state_refolds / state_rescales), and copies what the score reads into an
+// immutable ScoreSnapshot — the folded x, the folded m when it can be
+// extended, the chronological edge prefix, the max time and the pinned
+// version. Compute runs without the lock on any thread: it finishes the
+// folds, FinalizeState, the extractor and the classifier. The score
+// therefore reflects exactly the events that preceded the Snapshot, however
+// many edges arrive before Compute runs. Score() is both steps on the
+// caller.
 //
 // Model versions (DESIGN.md §4.8): there is no process-wide model. Every
 // session resolves a refcounted model::ModelVersion handle at Begin (or
@@ -53,7 +67,10 @@
 // max, which reorders the chronological fold) or the `shard.rescale`
 // failpoint (forces the legacy replay as a cross-check). With
 // normalize_time off every component folds strictly incrementally in either
-// basis.
+// basis. The fold bookkeeping advances at the Snapshot, as if the fold had
+// run there; the folded tensor itself arrives when Compute writes it back
+// (see SessionShard::Session), so the counters never depend on when or
+// where Compute runs.
 //
 // Concurrency: one mutex per shard; all public methods are thread-safe.
 // Events of a single session must still be submitted in order by the
@@ -61,16 +78,46 @@
 // per-session results deterministic regardless of shard/thread counts.
 //
 // Eviction: sessions are kept on an LRU list (most recently touched at the
-// front). When the resident cap is hit, the least recently used unpinned
-// session is dropped; Pin() marks a session as having an in-flight score
-// request, and pinned sessions are never evicted (nor removed by End — the
-// removal is deferred to the last Unpin).
+// front). When the resident cap is hit, the least recently used session is
+// dropped. A score already snapshotted reads nothing from its session, so
+// End and eviction remove a session at once, queued scores or not.
 
 namespace tpgnn::serve {
 
+// Everything one score reads, copied out of its session under the shard
+// mutex by SessionShard::Snapshot, so SessionShard::Compute can run later on
+// any thread without the lock and without the session. Compute folds the
+// rest of the edge prefix into `x` / `m` in place; nothing else changes.
+struct ScoreSnapshot {
+  uint64_t session_id = 0;
+  // Non-OK when the shard.score failpoint fired: the score fails without
+  // computing. A delay fire lands in `delay`, which Compute serves.
+  Status status;
+  failpoint::Hit delay;
+  // The session's pinned version.
+  model::ModelVersionPtr version;
+  // Chronological order of the scored edge prefix and its max timestamp.
+  std::vector<graph::TemporalEdge> order;
+  double max_time = 0.0;
+  // Node state with order[0, x_from) folded in, and the SUM time
+  // accumulator with order[0, m_from) folded in (undefined when the model
+  // has none). A nonzero generation asks Compute to write the completed
+  // fold back to the session.
+  tensor::Tensor x;
+  tensor::Tensor m;
+  int64_t x_from = 0;
+  int64_t m_from = 0;
+  uint64_t x_gen = 0;
+  uint64_t m_gen = 0;
+  // Set only while the registry has a shadow version: that version and the
+  // session graph, whose raw features the shadow's own X0 needs.
+  model::ModelVersionPtr shadow;
+  std::optional<graph::TemporalGraph> graph;
+};
+
 struct ShardOptions {
-  // Max resident sessions on this shard; 0 = unlimited. When full and every
-  // session is pinned, BeginSession reports kOverloaded.
+  // Max resident sessions on this shard; 0 = unlimited. When full, Begin
+  // evicts the least recently used session.
   size_t max_resident_sessions = 0;
   // Sessions idle (no event) for longer than this many stream seconds are
   // dropped by EvictIdle; <= 0 disables TTL eviction.
@@ -93,8 +140,8 @@ class SessionShard {
   // The session resolves and pins its model version here (primary, or the
   // A/B candidate per the registry's deterministic split). Fails with
   // kInvalidArgument on a duplicate id or a feature-dim mismatch with the
-  // model config, kOverloaded when the shard is at its cap with every
-  // resident session pinned.
+  // model config; at the resident cap the least recently used session is
+  // evicted to make room.
   Status BeginSession(uint64_t session_id, int64_t num_nodes,
                       int64_t feature_dim,
                       const std::vector<NodeInit>& features, double now);
@@ -104,40 +151,41 @@ class SessionShard {
   Status AddEdge(uint64_t session_id, int64_t src, int64_t dst,
                  double edge_time, double now);
 
-  // Scores the session's current state under its pinned model version:
-  // result.logit is bit-identical to that version's ForwardLogit(session
-  // graph, /*training=*/false) at this edge count. Fills
-  // logit/probability/edges_scored; status kNotFound for unknown sessions.
+  // The locked step of a score: copies what the score of the session's
+  // current edge prefix reads into `*snap` (see class comment). kNotFound
+  // for unknown sessions, and then no failpoint is evaluated. A fired
+  // shard.score returns OK with the injected failure in snap->status.
+  Status Snapshot(uint64_t session_id, ScoreSnapshot* snap);
+
+  // The lock-free step: scores `*snap` under its pinned version.
+  // result->logit is bit-identical to that version's ForwardLogit(session
+  // graph, /*training=*/false) on the snapshotted prefix. Fills
+  // logit/probability/edges_scored and status; takes the shard mutex only
+  // to write a completed fold back to a session that has not moved on.
+  void Compute(ScoreSnapshot* snap, ScoreResult* result);
+
+  // Snapshot then Compute on the calling thread.
   Status Score(uint64_t session_id, ScoreResult* result);
 
-  // Re-scores the session's current graph under the registry's shadow
-  // version — a full offline replay, so the result is bit-identical to the
-  // shadow version's ForwardLogit on the session graph. The logit never
+  // Re-scores a computed snapshot under the shadow version it captured — a
+  // full offline replay of the same prefix, so the result is bit-identical
+  // to the shadow version's ForwardLogit on that prefix. The logit never
   // leaves the process: |primary − shadow| lands in the metrics shadow
-  // block. No-op kOk when no shadow version is set; a missing session or an
-  // injected `model.shadow_score` failure counts shadow_failures and never
-  // affects the primary result.
-  Status ShadowScore(uint64_t session_id, float primary_logit);
+  // block. No-op kOk when the snapshot captured no shadow; an injected
+  // `model.shadow_score` failure counts shadow_failures and never affects
+  // the primary result. Needs no lock.
+  Status ShadowScore(const ScoreSnapshot& snap, float primary_logit);
 
-  // Closes a session. If score requests are in flight (pinned), removal is
-  // deferred until the last Unpin; the session stops accepting edges either
-  // way.
+  // Closes a session and removes it at once; queued scores hold their own
+  // snapshot.
   Status EndSession(uint64_t session_id);
-
-  // Marks one in-flight score request. Pinned sessions survive eviction and
-  // deferred End. Fails with kNotFound for unknown sessions.
-  Status Pin(uint64_t session_id);
-  // Releases one Pin; completes a deferred End removal when the last pin
-  // drops. Unknown ids are ignored (the session may have ended).
-  void Unpin(uint64_t session_id);
 
   // Snapshots a live session for migration (SESSION_EXPORT). The snapshot
   // carries the session's pinned model-version name, so the destination
-  // keeps scoring under the same parameters. Safe while scores are pinned —
-  // the shard mutex serializes against Score, so the snapshot is always a
-  // consistent fold state. kNotFound for unknown sessions,
-  // kFailedPrecondition once End has been received (a deferred removal is
-  // not a migratable session).
+  // keeps scoring under the same parameters. Safe while scores are queued:
+  // a folded component whose tensor a queued score has not written back
+  // yet is refolded here, so the exported state always matches its fold
+  // bookkeeping. kNotFound for unknown sessions.
   Status ExportSession(uint64_t session_id, SessionState* state) const;
 
   // Installs a migrated session (SESSION_IMPORT): rebuilds the graph from
@@ -150,8 +198,8 @@ class SessionShard {
   // at the resident cap — the same contract as BeginSession.
   Status ImportSession(const SessionState& state, double now);
 
-  // Drops sessions idle since before `now - idle_ttl_seconds` (never pinned
-  // ones). No-op when TTL is disabled.
+  // Drops sessions idle since before `now - idle_ttl_seconds`. No-op when
+  // TTL is disabled.
   void EvictIdle(double now);
 
   size_t resident_sessions() const;
@@ -159,24 +207,18 @@ class SessionShard {
  private:
   struct Session;
 
-  // Applies pending edges (and any required refold) so the folded state
-  // matches the session's full edge list; returns the chronological edge
-  // order to feed the extractor. `force_refold` (the shard.rescale
-  // failpoint) discards every folded component with a nonempty prefix and
-  // replays it, counting state_refolds exactly like an organic
-  // invalidation.
-  const std::vector<graph::TemporalEdge>& EnsureFolded(Session& s,
-                                                       bool force_refold);
   // Re-resolves the session's model version when the registry's assignment
   // epoch moved past the session's stamp (immediate-rebase activation or an
   // A/B change). A changed version recomputes X0 and discards the folds so
-  // the next EnsureFolded replays everything under the new parameters
+  // the next score replays everything under the new parameters
   // (`version_rebases`).
   void MaybeRebaseLocked(uint64_t session_id, Session& s);
-  // Evicts the least recently used unpinned session; false if none exists.
-  bool EvictOneLocked();
+  // Writes Compute's completed folds back to their session if it still
+  // waits for exactly these generations.
+  void WriteBack(ScoreSnapshot* snap);
+  void EvictLruLocked();
   void RemoveLocked(uint64_t session_id, Session& s);
-  void TouchLocked(uint64_t session_id, Session& s, double now);
+  void TouchLocked(Session& s, double now);
 
   const model::ModelRegistry& registry_;
   const ShardOptions options_;
@@ -186,6 +228,9 @@ class SessionShard {
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
   // LRU order, most recent first; Session holds its iterator.
   std::list<uint64_t> lru_;
+  // Last fold generation handed out (see Session); shard-wide so a reused
+  // session id never matches a write-back meant for its predecessor.
+  uint64_t last_gen_ = 0;
 };
 
 // Routes session ids onto a fixed set of shards with a splitmix64 hash.

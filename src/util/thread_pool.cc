@@ -49,15 +49,29 @@ void ThreadPool::WorkerLoop() {
   for (;;) {
     Chunk chunk;
     Job* job = nullptr;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] {
-        return stop_ || (job_ != nullptr && !job_->chunks.empty());
+        return stop_ || !tasks_.empty() ||
+               (job_ != nullptr && !job_->chunks.empty());
       });
-      if (stop_) return;
-      job = job_;
-      chunk = job->chunks.front();
-      job->chunks.pop_front();
+      if (job_ != nullptr && !job_->chunks.empty()) {
+        // A ParallelFor caller is blocked on its chunks: serve it first.
+        job = job_;
+        chunk = job->chunks.front();
+        job->chunks.pop_front();
+      } else if (!tasks_.empty()) {
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      } else {
+        return;  // stop_ with nothing left to run.
+      }
+    }
+    if (job == nullptr) {
+      InWorkerScope scope;
+      task();
+      continue;
     }
     {
       InWorkerScope scope;
@@ -74,6 +88,19 @@ void ThreadPool::WorkerLoop() {
       }
     }
   }
+}
+
+void ThreadPool::Post(std::function<void()> task) {
+  if (workers_.empty()) {
+    InWorkerScope scope;
+    task();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+  }
+  work_cv_.notify_one();
 }
 
 void ThreadPool::DrainJob(Job& job) {

@@ -24,6 +24,10 @@
 //  * Nested ParallelFor calls issued from inside a worker run inline on
 //    that worker. This keeps nested parallel code deadlock-free without a
 //    work-stealing scheduler and keeps the determinism story simple.
+//  * Post queues a fire-and-forget task in FIFO order. Workers prefer
+//    ParallelFor chunks (a caller is blocked on those) and run posted tasks
+//    when no chunk is waiting. Tasks run with InWorker() true, so a
+//    ParallelFor inside a task runs inline on that worker.
 //  * Worker threads hold no tensor/autograd state; anything thread-local
 //    (e.g. tensor::NoGradGuard) must be established inside the body
 //    function, not around the ParallelFor call.
@@ -50,8 +54,15 @@ class ThreadPool {
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t)>& fn);
 
-  // True while the current thread is executing a ParallelFor body, in which
-  // case nested ParallelFor calls run inline.
+  // FIFO entry point: queues `task` to run once on a worker thread and
+  // returns at once; tasks start in the order they were posted. Wakes one
+  // idle worker. A pool without workers (num_threads() == 1) runs the task
+  // inline before returning. Tasks still queued when the pool is destroyed
+  // run before the workers exit. Must not throw from task.
+  void Post(std::function<void()> task);
+
+  // True while the current thread is executing a ParallelFor body or a
+  // posted task, in which case nested ParallelFor calls run inline.
   static bool InWorker();
 
   // Process-wide pool sized from TPGNN_NUM_THREADS (default: hardware
@@ -87,6 +98,7 @@ class ThreadPool {
   std::condition_variable work_cv_;  // Signals workers: job posted or stop.
   std::condition_variable done_cv_;  // Signals submitter: job finished.
   Job* job_ = nullptr;               // Live job, guarded by mu_.
+  std::deque<std::function<void()>> tasks_;  // Posted, not yet started.
   bool stop_ = false;
 };
 

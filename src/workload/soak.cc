@@ -110,7 +110,6 @@ SoakReport RunSoak(const SoakOptions& options) {
     const uint64_t resident = engine.resident_sessions();
 
     // Exact accounting: every begun session is ended, evicted, or resident.
-    // Flush drained all pins, so no deferred End is outstanding.
     if (snap.sessions_begun !=
         snap.sessions_ended + snap.sessions_evicted + resident) {
       std::ostringstream os;
@@ -219,7 +218,7 @@ SoakReport RunSoak(const SoakOptions& options) {
       }
     }
     parity_queue.clear();
-    // Ended sampled sessions have no more scores in flight post-Flush.
+    // Ended sampled sessions have no more scores queued post-Flush.
     while (!ended_tracked.empty()) {
       tracked.erase(ended_tracked.front());
       ended_tracked.pop_front();

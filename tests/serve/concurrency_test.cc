@@ -3,15 +3,16 @@
 //  * Multi-threaded ingest, with threads owning disjoint session subsets,
 //    yields bit-identical per-session scores regardless of the thread and
 //    shard counts — per-session determinism depends only on the event
-//    prefix, never on interleaving.
-//  * Eviction under a tight resident cap never drops a session with an
-//    in-flight (pinned) score request: every enqueued request completes.
+//    prefix, never on interleaving or on when a score is collected.
+//  * Eviction under a tight resident cap never drops a score request
+//    already enqueued: every enqueued request completes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/model.h"
@@ -27,10 +28,13 @@ graph::GraphDataset SessionDataset() {
 }
 
 // Streams session `id` (graph index id - 1) through the engine: Begin,
-// every edge, one Score carrying the label, End. Retries overloaded
-// submissions after draining a micro-batch into `results`.
+// every edge, one Score carrying the label, End. With `interleave`, a
+// Score also follows every third edge, so later edges of the session
+// arrive while it is still queued. Retries overloaded submissions after
+// draining a micro-batch into `results`.
 void StreamSession(InferenceEngine& engine, const graph::GraphDataset& dataset,
-                   uint64_t id, std::vector<ScoreResult>* results) {
+                   uint64_t id, bool interleave,
+                   std::vector<ScoreResult>* results) {
   const graph::TemporalGraph& g = dataset[id - 1].graph;
   auto submit = [&](const Event& event) {
     Status status = engine.Ingest(event);
@@ -48,7 +52,8 @@ void StreamSession(InferenceEngine& engine, const graph::GraphDataset& dataset,
   begin.feature_dim = g.feature_dim();
   begin.features = AllNodeFeatures(g);
   submit(begin);
-  for (const graph::TemporalEdge& e : g.edges()) {
+  for (size_t i = 0; i < g.edges().size(); ++i) {
+    const graph::TemporalEdge& e = g.edges()[i];
     Event edge;
     edge.kind = Event::Kind::kEdge;
     edge.session_id = id;
@@ -56,6 +61,12 @@ void StreamSession(InferenceEngine& engine, const graph::GraphDataset& dataset,
     edge.dst = e.dst;
     edge.edge_time = e.time;
     submit(edge);
+    if (interleave && i % 3 == 0) {
+      Event mid;
+      mid.kind = Event::Kind::kScore;
+      mid.session_id = id;
+      submit(mid);
+    }
   }
   Event score;
   score.kind = Event::Kind::kScore;
@@ -68,11 +79,14 @@ void StreamSession(InferenceEngine& engine, const graph::GraphDataset& dataset,
   submit(end);
 }
 
+// (session_id, edges scored) -> logit.
+using PrefixLogits = std::map<std::pair<uint64_t, int64_t>, float>;
+
 // Runs the dataset through an engine with `num_threads` ingest threads
-// owning disjoint session subsets, returning session_id -> logit.
-std::map<uint64_t, float> RunConcurrent(const graph::GraphDataset& dataset,
-                                        int num_threads, int num_shards,
-                                        size_t max_pending) {
+// owning disjoint session subsets.
+PrefixLogits RunConcurrent(const graph::GraphDataset& dataset, int num_threads,
+                           int num_shards, size_t max_pending,
+                           bool interleave) {
   EngineOptions options;
   options.num_shards = num_shards;
   options.max_pending_scores = max_pending;
@@ -87,7 +101,7 @@ std::map<uint64_t, float> RunConcurrent(const graph::GraphDataset& dataset,
       // Thread t owns sessions t+1, t+1+num_threads, ... (disjoint).
       for (uint64_t id = static_cast<uint64_t>(t) + 1; id <= dataset.size();
            id += static_cast<uint64_t>(num_threads)) {
-        StreamSession(engine, dataset, id,
+        StreamSession(engine, dataset, id, interleave,
                       &per_thread[static_cast<size_t>(t)]);
       }
     });
@@ -100,11 +114,11 @@ std::map<uint64_t, float> RunConcurrent(const graph::GraphDataset& dataset,
     results.insert(results.end(), r.begin(), r.end());
   }
 
-  std::map<uint64_t, float> logits;
+  PrefixLogits logits;
   for (const ScoreResult& r : results) {
     EXPECT_TRUE(r.status.ok()) << "session " << r.session_id << ": "
                                << r.status.ToString();
-    logits[r.session_id] = r.logit;
+    logits[{r.session_id, r.edges_scored}] = r.logit;
   }
   EXPECT_EQ(engine.resident_sessions(), 0u);
   return logits;
@@ -112,35 +126,47 @@ std::map<uint64_t, float> RunConcurrent(const graph::GraphDataset& dataset,
 
 TEST(ServeConcurrencyTest, ScoresDeterministicAcrossThreadAndShardCounts) {
   graph::GraphDataset dataset = SessionDataset();
-
-  // Reference: serial ingest, single shard.
-  std::map<uint64_t, float> reference =
-      RunConcurrent(dataset, /*num_threads=*/1, /*num_shards=*/1,
-                    /*max_pending=*/256);
-  ASSERT_EQ(reference.size(), dataset.size());
-
-  // And the offline forward agrees, anchoring the whole matrix.
   core::TpGnnModel model(TinyServeConfig(), /*seed=*/9);
-  for (const auto& [id, logit] : reference) {
-    EXPECT_EQ(logit, OfflineLogit(model, dataset[id - 1].graph))
-        << "session " << id;
-  }
 
-  struct Setup {
-    int threads;
-    int shards;
-    size_t max_pending;
-  };
-  for (const Setup& setup : {Setup{2, 1, 256}, Setup{2, 4, 256},
-                             Setup{4, 3, 8}, Setup{3, 8, 2}}) {
-    std::map<uint64_t, float> logits = RunConcurrent(
-        dataset, setup.threads, setup.shards, setup.max_pending);
-    ASSERT_EQ(logits.size(), dataset.size())
-        << setup.threads << " threads, " << setup.shards << " shards";
-    for (const auto& [id, logit] : reference) {
-      EXPECT_EQ(logits.at(id), logit)
-          << "session " << id << " with " << setup.threads << " threads, "
-          << setup.shards << " shards, queue " << setup.max_pending;
+  for (const bool interleave : {false, true}) {
+    // Reference: serial ingest, single shard.
+    const PrefixLogits reference =
+        RunConcurrent(dataset, /*num_threads=*/1, /*num_shards=*/1,
+                      /*max_pending=*/256, interleave);
+    if (interleave) {
+      ASSERT_GT(reference.size(), dataset.size());
+    } else {
+      ASSERT_EQ(reference.size(), dataset.size());
+    }
+
+    // And the offline forward of each scored prefix agrees, anchoring the
+    // whole matrix.
+    for (const auto& [key, logit] : reference) {
+      const graph::TemporalGraph& g = dataset[key.first - 1].graph;
+      graph::TemporalGraph prefix(g.num_nodes(), g.feature_dim());
+      for (int64_t node = 0; node < g.num_nodes(); ++node) {
+        prefix.SetNodeFeature(node, g.node_feature(node));
+      }
+      for (int64_t e = 0; e < key.second; ++e) {
+        const graph::TemporalEdge& edge = g.edges()[static_cast<size_t>(e)];
+        prefix.AddEdge(edge.src, edge.dst, edge.time);
+      }
+      EXPECT_EQ(logit, OfflineLogit(model, prefix))
+          << "session " << key.first << " prefix " << key.second;
+    }
+
+    struct Setup {
+      int threads;
+      int shards;
+      size_t max_pending;
+    };
+    for (const Setup& setup : {Setup{2, 1, 256}, Setup{2, 4, 256},
+                               Setup{4, 3, 8}, Setup{3, 8, 2}}) {
+      const PrefixLogits logits = RunConcurrent(
+          dataset, setup.threads, setup.shards, setup.max_pending, interleave);
+      EXPECT_EQ(logits, reference)
+          << setup.threads << " threads, " << setup.shards << " shards, queue "
+          << setup.max_pending << (interleave ? ", interleaved" : "");
     }
   }
 }
@@ -172,7 +198,8 @@ TEST(ServeConcurrencyTest, ConcurrentDrainerSeesEveryScore) {
     threads.emplace_back([&, t] {
       for (uint64_t id = static_cast<uint64_t>(t) + 1; id <= dataset.size();
            id += kThreads) {
-        StreamSession(engine, dataset, id, &per_thread[static_cast<size_t>(t)]);
+        StreamSession(engine, dataset, id, /*interleave=*/false,
+                      &per_thread[static_cast<size_t>(t)]);
       }
     });
   }
@@ -191,8 +218,8 @@ TEST(ServeConcurrencyTest, ConcurrentDrainerSeesEveryScore) {
 
 TEST(ServeConcurrencyTest, EvictionNeverDropsInFlightScores) {
   // Resident cap far below the live session count: Begin-driven eviction
-  // churns constantly, but a session with a queued score is pinned and must
-  // survive until its result is produced.
+  // churns constantly, but a score already enqueued holds its own snapshot
+  // and must complete even when its session is evicted meanwhile.
   graph::GraphDataset dataset = SessionDataset();
   EngineOptions options;
   options.num_shards = 2;
@@ -266,7 +293,7 @@ TEST(ServeConcurrencyTest, EvictionNeverDropsInFlightScores) {
     results.insert(results.end(), r.begin(), r.end());
   }
 
-  // The pin taken at enqueue makes every accepted request succeed: a
+  // The snapshot taken at enqueue makes every accepted request succeed: a
   // NotFound result here would mean eviction dropped an in-flight score.
   for (const ScoreResult& r : results) {
     EXPECT_TRUE(r.status.ok())

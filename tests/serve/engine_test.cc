@@ -1,10 +1,12 @@
-// InferenceEngine behaviour: event dispatch, micro-batched scoring in
-// request order, bounded-queue backpressure, snapshot loading with config
-// validation, and TTL sweeps wired to Begin events.
+// InferenceEngine behaviour: event dispatch, scores of the enqueue-time
+// prefix collected in request order, bounded-queue backpressure, engine
+// teardown with jobs in flight, snapshot loading with config validation,
+// and TTL sweeps wired to Begin events.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,8 @@
 #include "serve/replay.h"
 #include "serve_test_util.h"
 #include "testing/temp_path.h"
+#include "util/failpoint.h"
+#include "util/stopwatch.h"
 
 namespace tpgnn::serve {
 namespace {
@@ -88,6 +92,113 @@ TEST(EngineTest, ScoresMatchOfflineForwardInRequestOrder) {
   EXPECT_EQ(engine.metrics().scores_completed.load(), dataset.size());
 }
 
+// The first `edges` edges of `g` as a graph of their own.
+graph::TemporalGraph PrefixGraph(const graph::TemporalGraph& g,
+                                 size_t edges) {
+  graph::TemporalGraph prefix(g.num_nodes(), g.feature_dim());
+  for (int64_t node = 0; node < g.num_nodes(); ++node) {
+    prefix.SetNodeFeature(node, g.node_feature(node));
+  }
+  for (size_t e = 0; e < edges; ++e) {
+    prefix.AddEdge(g.edges()[e].src, g.edges()[e].dst, g.edges()[e].time);
+  }
+  return prefix;
+}
+
+TEST(EngineTest, ScoreReflectsThePrefixAtEnqueue) {
+  // Edges that arrive after a Score and before its collection are not part
+  // of it: the result is the offline forward of the prefix that preceded
+  // the Score, bit for bit.
+  EngineOptions options;
+  options.num_shards = 2;
+  InferenceEngine engine(TinyServeConfig(), /*seed=*/5, options);
+  graph::GraphDataset dataset =
+      data::MakeDataset(data::HdfsSpec(), /*count=*/3, /*seed=*/11);
+
+  struct Expected {
+    uint64_t id;
+    size_t edges;
+  };
+  std::vector<Expected> expected;
+  Stopwatch e2e;
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    const graph::TemporalGraph& g = dataset[i].graph;
+    const uint64_t id = i + 1;
+    ASSERT_TRUE(engine.Ingest(BeginEvent(id, g, 0.0)).ok());
+    ASSERT_GE(g.edges().size(), 4u);
+    for (size_t e = 0; e < g.edges().size(); ++e) {
+      if (e == 1 || e == g.edges().size() / 2) {
+        ASSERT_TRUE(engine.Ingest(ScoreEvent(id)).ok());
+        expected.push_back({id, e});
+      }
+      const graph::TemporalEdge& edge = g.edges()[e];
+      ASSERT_TRUE(
+          engine.Ingest(EdgeEvent(id, edge.src, edge.dst, edge.time, 0.0))
+              .ok());
+    }
+  }
+  std::vector<ScoreResult> results;
+  engine.Flush(&results);
+  const double e2e_micros = e2e.ElapsedMicros();
+  ASSERT_EQ(results.size(), expected.size());
+  for (size_t r = 0; r < results.size(); ++r) {
+    const Expected& want = expected[r];
+    ASSERT_TRUE(results[r].status.ok()) << results[r].status.ToString();
+    EXPECT_EQ(results[r].session_id, want.id);
+    EXPECT_EQ(results[r].edges_scored, static_cast<int64_t>(want.edges));
+    EXPECT_EQ(results[r].logit,
+              OfflineLogit(engine.model(),
+                           PrefixGraph(dataset[want.id - 1].graph, want.edges)))
+        << "session " << want.id << " prefix " << want.edges;
+    // Queue wait and compute are disjoint slices of the request's life.
+    EXPECT_GE(results[r].queue_micros, 0.0);
+    EXPECT_GE(results[r].score_micros, 0.0);
+    EXPECT_LE(results[r].queue_micros + results[r].score_micros, e2e_micros);
+  }
+}
+
+TEST(EngineTest, DestroyWithJobsQueuedAndRunning) {
+  // Slow jobs keep helpers busy while more wait unclaimed; destroying the
+  // engine drops the unclaimed ones and waits for the running ones. Run
+  // it a few times so a helper also starts after the engine is gone.
+  graph::GraphDataset dataset =
+      data::MakeDataset(data::HdfsSpec(), /*count=*/1, /*seed=*/11);
+  const graph::TemporalGraph& g = dataset[0].graph;
+  failpoint::ScopedFailpoint slow("shard.score", 1.0, failpoint::Kind::kDelay,
+                                  /*arg=*/2000);
+  for (int round = 0; round < 3; ++round) {
+    EngineOptions options;
+    options.max_pending_scores = 32;
+    auto engine = std::make_unique<InferenceEngine>(TinyServeConfig(),
+                                                    /*seed=*/5, options);
+    ASSERT_TRUE(engine->Ingest(BeginEvent(1, g, 0.0)).ok());
+    for (const graph::TemporalEdge& e : g.edges()) {
+      ASSERT_TRUE(
+          engine->Ingest(EdgeEvent(1, e.src, e.dst, e.time, 0.0)).ok());
+      ASSERT_TRUE(engine->Ingest(ScoreEvent(1)).ok());
+      if (engine->pending_scores() >= 16) break;
+    }
+    if (round == 0) {
+      // Collect one batch first, so the teardown also follows a collector.
+      std::vector<ScoreResult> results;
+      EXPECT_GT(engine->ProcessPending(&results), 0u);
+    }
+    engine.reset();
+  }
+  // The pool survives teardown and serves the next engine.
+  InferenceEngine engine(TinyServeConfig(), /*seed=*/5, EngineOptions{});
+  ASSERT_TRUE(engine.Ingest(BeginEvent(1, g, 0.0)).ok());
+  ASSERT_TRUE(engine.Ingest(ScoreEvent(1)).ok());
+  ASSERT_TRUE(engine.Ingest(ScoreEvent(1)).ok());
+  ASSERT_TRUE(engine.Ingest(ScoreEvent(1)).ok());
+  std::vector<ScoreResult> results;
+  engine.Flush(&results);
+  ASSERT_EQ(results.size(), 3u);
+  for (const ScoreResult& r : results) {
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+}
+
 TEST(EngineTest, ScoreQueueBackpressure) {
   EngineOptions options;
   options.max_pending_scores = 2;
@@ -140,8 +251,8 @@ TEST(EngineTest, ScoreForUnknownSessionFailsCleanly) {
 }
 
 TEST(EngineTest, EndWithPendingScoreStillScores) {
-  // The replayer emits Score immediately before End; the pin taken at
-  // enqueue must keep the session alive through the End until the score
+  // The replayer emits Score immediately before End. The score holds its
+  // own snapshot, so End removes the session at once and the score still
   // completes.
   InferenceEngine engine(TinyServeConfig(), /*seed=*/5, EngineOptions{});
   graph::GraphDataset dataset =
@@ -151,14 +262,13 @@ TEST(EngineTest, EndWithPendingScoreStillScores) {
   ASSERT_TRUE(engine.Ingest(EdgeEvent(1, 0, 1, 1.0, 0.0)).ok());
   ASSERT_TRUE(engine.Ingest(ScoreEvent(1)).ok());
   ASSERT_TRUE(engine.Ingest(EndEvent(1)).ok());
-  EXPECT_EQ(engine.resident_sessions(), 1u);  // Deferred removal.
+  EXPECT_EQ(engine.resident_sessions(), 0u);
 
   std::vector<ScoreResult> results;
   engine.Flush(&results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].status.ok());
   EXPECT_EQ(results[0].edges_scored, 1);
-  EXPECT_EQ(engine.resident_sessions(), 0u);  // Removal completed at Unpin.
 }
 
 TEST(EngineTest, BeginSweepsIdleSessions) {

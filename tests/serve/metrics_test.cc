@@ -16,25 +16,50 @@ namespace {
 
 TEST(LatencyHistogramTest, BucketAssignment) {
   LatencyHistogram histogram;
-  histogram.Record(0.0);    // [0, 2) -> bucket 0.
-  histogram.Record(1.5);    // [0, 2) -> bucket 0.
-  histogram.Record(2.0);    // [2, 4) -> bucket 1.
-  histogram.Record(3.9);    // [2, 4) -> bucket 1.
-  histogram.Record(1000);   // [512, 1024) -> bucket 9.
+  histogram.Record(0.0);    // [0, 1) -> bucket 0.
+  histogram.Record(0.5);    // [0, 1) -> bucket 0.
+  histogram.Record(1.5);    // Octave 0, sub-bucket 4: [1.5, 1.625).
+  histogram.Record(2.0);    // Octave 1, sub-bucket 0: [2, 2.25).
+  histogram.Record(3.9);    // Octave 1, sub-bucket 7: [3.75, 4).
+  histogram.Record(1000);   // Octave 9, sub-bucket 7: [960, 1024).
   histogram.Record(1e12);   // Overflow -> last bucket.
 
   LatencyHistogram::Snapshot snap = histogram.Snap();
-  EXPECT_EQ(snap.count, 6u);
+  EXPECT_EQ(snap.count, 7u);
   EXPECT_EQ(snap.buckets[0], 2u);
-  EXPECT_EQ(snap.buckets[1], 2u);
-  EXPECT_EQ(snap.buckets[9], 1u);
+  EXPECT_EQ(snap.buckets[1 + 0 * 8 + 4], 1u);
+  EXPECT_EQ(snap.buckets[1 + 1 * 8 + 0], 1u);
+  EXPECT_EQ(snap.buckets[1 + 1 * 8 + 7], 1u);
+  EXPECT_EQ(snap.buckets[1 + 9 * 8 + 7], 1u);
   EXPECT_EQ(snap.buckets[LatencyHistogram::kNumBuckets - 1], 1u);
+  EXPECT_EQ(LatencyHistogram::BucketUpperMicros(1 + 9 * 8 + 7), 1024.0);
+  EXPECT_EQ(LatencyHistogram::BucketUpperMicros(1 + 1 * 8 + 0), 2.25);
+}
+
+TEST(LatencyHistogramTest, UpperEdgeOverstatesASampleByAtMostAnEighth) {
+  // Every sample from 1 µs to the overflow bucket lands in a bucket whose
+  // upper edge exceeds it by at most 12.5%, and bucket edges tile the
+  // range without gaps.
+  for (double v = 1.0; v < std::ldexp(1.0, LatencyHistogram::kOctaves);
+       v *= 1.0137) {
+    const int bucket = LatencyHistogram::BucketIndex(v);
+    const double upper = LatencyHistogram::BucketUpperMicros(bucket);
+    EXPECT_GT(upper, v) << v;
+    EXPECT_LE(upper, v * 1.125) << v;
+    EXPECT_LE(LatencyHistogram::BucketUpperMicros(bucket - 1), v) << v;
+  }
+  // A p99 gate at 2000 µs reads a bucket edge within 12.5% of the sample.
+  EXPECT_LT(LatencyHistogram::BucketIndex(2000.0),
+            LatencyHistogram::BucketIndex(2048.0));
+  EXPECT_EQ(LatencyHistogram::BucketUpperMicros(
+                LatencyHistogram::BucketIndex(2000.0)),
+            2048.0);
 }
 
 TEST(LatencyHistogramTest, MeanAndPercentiles) {
   LatencyHistogram histogram;
-  // 90 fast samples at ~100us (bucket 6: [64, 128)), 10 slow at ~5000us
-  // (bucket 12: [4096, 8192)).
+  // 90 fast samples at 100us (bucket [96, 104)), 10 slow at 5000us
+  // (bucket [4608, 5120)).
   for (int i = 0; i < 90; ++i) histogram.Record(100.0);
   for (int i = 0; i < 10; ++i) histogram.Record(5000.0);
 
@@ -42,10 +67,10 @@ TEST(LatencyHistogramTest, MeanAndPercentiles) {
   EXPECT_EQ(snap.count, 100u);
   EXPECT_NEAR(snap.mean_micros(), (90 * 100.0 + 10 * 5000.0) / 100.0, 1.0);
   // Percentile = upper edge of the crossing bucket.
-  EXPECT_EQ(snap.PercentileMicros(0.5), 128.0);
-  EXPECT_EQ(snap.PercentileMicros(0.9), 128.0);
-  EXPECT_EQ(snap.PercentileMicros(0.95), 8192.0);
-  EXPECT_EQ(snap.PercentileMicros(0.99), 8192.0);
+  EXPECT_EQ(snap.PercentileMicros(0.5), 104.0);
+  EXPECT_EQ(snap.PercentileMicros(0.9), 104.0);
+  EXPECT_EQ(snap.PercentileMicros(0.95), 5120.0);
+  EXPECT_EQ(snap.PercentileMicros(0.99), 5120.0);
 }
 
 TEST(LatencyHistogramTest, EmptySnapshotIsZero) {
@@ -346,15 +371,15 @@ TEST(MetricsJsonTest, MergedPercentilesSpanTheUnionDistribution) {
   MetricsSnapshot fast, slow;
   fast.score_latency.count = 90;
   fast.score_latency.sum_micros = 9000.0;
-  fast.score_latency.buckets[6] = 90;  // [64, 128) us.
+  fast.score_latency.buckets[LatencyHistogram::BucketIndex(100.0)] = 90;
   slow.score_latency.count = 10;
   slow.score_latency.sum_micros = 50000.0;
-  slow.score_latency.buckets[12] = 10;  // [4096, 8192) us.
+  slow.score_latency.buckets[LatencyHistogram::BucketIndex(5000.0)] = 10;
 
   fast.MergeFrom(slow);
   EXPECT_EQ(fast.score_latency.count, 100u);
-  EXPECT_EQ(fast.score_latency.PercentileMicros(0.5), 128.0);
-  EXPECT_EQ(fast.score_latency.PercentileMicros(0.95), 8192.0);
+  EXPECT_EQ(fast.score_latency.PercentileMicros(0.5), 104.0);
+  EXPECT_EQ(fast.score_latency.PercentileMicros(0.95), 5120.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // SessionShard lifecycle, validation, and eviction semantics: error
 // statuses for malformed events, LRU eviction at the resident cap, TTL
-// sweeps, and the pinning protocol that protects in-flight score requests.
+// sweeps, and scores snapshotted before their session is ended or evicted.
 
 #include <gtest/gtest.h>
 
@@ -97,48 +97,50 @@ TEST_F(ShardTest, LruEvictionAtCap) {
   EXPECT_TRUE(shard.Score(3, &result).ok());
 }
 
-TEST_F(ShardTest, PinnedSessionsAreNotEvicted) {
+TEST_F(ShardTest, EvictionWithAQueuedScoreStillScores) {
   ShardOptions options;
   options.max_resident_sessions = 2;
   SessionShard shard(registry_, options, &metrics_);
   ASSERT_TRUE(Begin(shard, 1, 1.0).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 1.0).ok());
   ASSERT_TRUE(Begin(shard, 2, 2.0).ok());
-  ASSERT_TRUE(shard.Pin(1).ok());  // LRU but pinned.
+  ScoreSnapshot queued;  // Session 1 is LRU with a score queued.
+  ASSERT_TRUE(shard.Snapshot(1, &queued).ok());
 
+  // The cap evicts session 1 at once; the queued score holds its snapshot.
   ASSERT_TRUE(Begin(shard, 3, 3.0).ok());
-  // Session 2 was evicted instead of the pinned LRU session 1.
+  EXPECT_EQ(shard.resident_sessions(), 2u);
+  EXPECT_EQ(metrics_.sessions_evicted.load(), 1u);
   ScoreResult result;
-  EXPECT_TRUE(shard.Score(1, &result).ok());
-  EXPECT_EQ(shard.Score(2, &result).code(), StatusCode::kNotFound);
-
-  // With both residents pinned, there is nothing to evict: Overloaded.
-  ASSERT_TRUE(shard.Pin(3).ok());
-  EXPECT_EQ(Begin(shard, 4, 4.0).code(), StatusCode::kOverloaded);
-  EXPECT_EQ(metrics_.overload_rejections.load(), 1u);
-
-  // Unpinning frees capacity again.
-  shard.Unpin(1);
-  ASSERT_TRUE(Begin(shard, 4, 5.0).ok());
+  EXPECT_EQ(shard.Score(1, &result).code(), StatusCode::kNotFound);
+  shard.Compute(&queued, &result);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.session_id, 1u);
+  EXPECT_EQ(result.edges_scored, 1);
+  EXPECT_EQ(metrics_.sessions_begun.load(),
+            metrics_.sessions_ended.load() + metrics_.sessions_evicted.load() +
+                shard.resident_sessions());
 }
 
-TEST_F(ShardTest, EndWhilePinnedDefersRemoval) {
+TEST_F(ShardTest, EndWithAQueuedScoreRemovesAtOnce) {
   SessionShard shard(registry_, ShardOptions{}, &metrics_);
   ASSERT_TRUE(Begin(shard, 1).ok());
   ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
-  ASSERT_TRUE(shard.Pin(1).ok());
+  ScoreSnapshot queued;
+  ASSERT_TRUE(shard.Snapshot(1, &queued).ok());
   ASSERT_TRUE(shard.EndSession(1).ok());
 
-  // The ended session no longer accepts edges but can still be scored by
-  // the in-flight request that pinned it.
-  EXPECT_EQ(shard.AddEdge(1, 0, 1, 2.0, 0.0).code(),
-            StatusCode::kFailedPrecondition);
-  ScoreResult result;
-  ASSERT_TRUE(shard.Score(1, &result).ok());
-  EXPECT_EQ(result.edges_scored, 1);
-
-  shard.Unpin(1);  // Last pin drops -> deferred removal completes.
+  // Gone for every later event, yet the queued score still completes on
+  // the prefix it snapshotted.
   EXPECT_EQ(shard.resident_sessions(), 0u);
-  EXPECT_EQ(shard.Score(1, &result).code(), StatusCode::kNotFound);
+  EXPECT_EQ(shard.AddEdge(1, 0, 1, 2.0, 0.0).code(), StatusCode::kNotFound);
+  ScoreResult result;
+  shard.Compute(&queued, &result);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.edges_scored, 1);
+  EXPECT_EQ(metrics_.sessions_begun.load(),
+            metrics_.sessions_ended.load() + metrics_.sessions_evicted.load() +
+                shard.resident_sessions());
 }
 
 TEST_F(ShardTest, TtlEvictsIdleSessionsOnly) {
@@ -149,14 +151,20 @@ TEST_F(ShardTest, TtlEvictsIdleSessionsOnly) {
   ASSERT_TRUE(Begin(shard, 2, /*now=*/0.0).ok());
   ASSERT_TRUE(Begin(shard, 3, /*now=*/0.0).ok());
   ASSERT_TRUE(shard.AddEdge(2, 0, 1, 1.0, /*now=*/8.0).ok());  // Keep 2 fresh.
-  ASSERT_TRUE(shard.Pin(3).ok());  // Idle but pinned.
+  ScoreSnapshot queued;  // Idle with a score queued.
+  ASSERT_TRUE(shard.Snapshot(3, &queued).ok());
 
   shard.EvictIdle(/*now=*/15.0);
-  EXPECT_EQ(shard.resident_sessions(), 2u);
+  EXPECT_EQ(shard.resident_sessions(), 1u);
   ScoreResult result;
   EXPECT_EQ(shard.Score(1, &result).code(), StatusCode::kNotFound);
+  EXPECT_EQ(shard.Score(3, &result).code(), StatusCode::kNotFound);
   EXPECT_TRUE(shard.Score(2, &result).ok());
-  EXPECT_TRUE(shard.Score(3, &result).ok());
+  shard.Compute(&queued, &result);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(metrics_.sessions_begun.load(),
+            metrics_.sessions_ended.load() + metrics_.sessions_evicted.load() +
+                shard.resident_sessions());
 
   // TTL disabled: sweep is a no-op.
   SessionShard no_ttl(registry_, ShardOptions{}, &metrics_);

@@ -23,7 +23,7 @@ namespace tpgnn::serve {
 namespace {
 
 void ExpectExactAccounting(InferenceEngine& engine, const char* where) {
-  // Quiesce first: no pinned in-flight score may defer an End.
+  // Quiesce first, so every queued score has its result.
   std::vector<ScoreResult> results;
   engine.Flush(&results);
   const MetricsSnapshot snap = engine.metrics().Snapshot();

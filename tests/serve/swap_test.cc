@@ -175,24 +175,27 @@ TEST_F(SwapTest, ShadowScoreIsBitIdenticalToOfflineForwardAndNeverLeaks) {
                                 AllNodeFeatures(g), /*now=*/0.0)
                   .ok());
   FeedPrefix(shard, 1, g, static_cast<size_t>(g.num_edges()));
+  ScoreSnapshot snap;
+  ASSERT_TRUE(shard.Snapshot(1, &snap).ok());
   ScoreResult result;
-  ASSERT_TRUE(shard.Score(1, &result).ok());
+  shard.Compute(&snap, &result);
+  ASSERT_TRUE(result.status.ok());
   // The client-visible result is the primary's — shadow never leaks.
   EXPECT_EQ(result.logit, OfflineLogit(VersionModel(registry_, "v0"), g));
 
-  ASSERT_TRUE(shard.ShadowScore(1, result.logit).ok());
+  ASSERT_TRUE(shard.ShadowScore(snap, result.logit).ok());
 
   // The shadow replay is bit-identical to v2's offline forward, so the
   // recorded delta is exactly |primary − v2 offline|.
   const double expected_delta = std::fabs(
       static_cast<double>(result.logit) -
       static_cast<double>(OfflineLogit(VersionModel(registry_, "v2"), g)));
-  const MetricsSnapshot snap = metrics_.Snapshot();
-  EXPECT_EQ(snap.shadow_scores, 1u);
-  EXPECT_EQ(snap.shadow_failures, 0u);
-  EXPECT_EQ(snap.shadow_delta_max, expected_delta);
-  EXPECT_NEAR(snap.shadow_delta_sum, expected_delta, 1e-9);
-  EXPECT_EQ(snap.shadow_latency.count, 1u);
+  const MetricsSnapshot metrics = metrics_.Snapshot();
+  EXPECT_EQ(metrics.shadow_scores, 1u);
+  EXPECT_EQ(metrics.shadow_failures, 0u);
+  EXPECT_EQ(metrics.shadow_delta_max, expected_delta);
+  EXPECT_NEAR(metrics.shadow_delta_sum, expected_delta, 1e-9);
+  EXPECT_EQ(metrics.shadow_latency.count, 1u);
 }
 
 TEST_F(SwapTest, ShadowScoreIsNoOpWithoutShadowVersion) {
@@ -203,7 +206,10 @@ TEST_F(SwapTest, ShadowScoreIsNoOpWithoutShadowVersion) {
                   .BeginSession(1, g.num_nodes(), g.feature_dim(),
                                 AllNodeFeatures(g), /*now=*/0.0)
                   .ok());
-  EXPECT_TRUE(shard.ShadowScore(1, 0.0f).ok());
+  ScoreSnapshot snap;
+  ASSERT_TRUE(shard.Snapshot(1, &snap).ok());
+  EXPECT_EQ(snap.shadow, nullptr);
+  EXPECT_TRUE(shard.ShadowScore(snap, 0.0f).ok());
   EXPECT_EQ(metrics_.Snapshot().shadow_scores, 0u);
 }
 
@@ -218,28 +224,85 @@ TEST_F(SwapTest, ShadowFaultsAreCountedAndIsolatedFromThePrimary) {
                   .ok());
   FeedPrefix(shard, 1, g, static_cast<size_t>(g.num_edges()));
 
+  ScoreSnapshot snap;
+  ASSERT_TRUE(shard.Snapshot(1, &snap).ok());
   ScoreResult before;
-  ASSERT_TRUE(shard.Score(1, &before).ok());
+  shard.Compute(&snap, &before);
+  ASSERT_TRUE(before.status.ok());
   {
     failpoint::ScopedFailpoint fp("model.shadow_score", 1.0,
                                   failpoint::Kind::kReturnError);
-    EXPECT_EQ(shard.ShadowScore(1, before.logit).code(),
+    EXPECT_EQ(shard.ShadowScore(snap, before.logit).code(),
               StatusCode::kInternal);
     EXPECT_EQ(fp.fires(), 1u);
   }
-  // A shadow pass against a session that ended in between is a counted
-  // failure, not an error on any client path.
-  EXPECT_EQ(shard.ShadowScore(999, before.logit).code(),
-            StatusCode::kNotFound);
+  // The shadow replays its own snapshot, so ending the session in between
+  // costs it nothing.
+  ASSERT_TRUE(shard.EndSession(1).ok());
+  EXPECT_TRUE(shard.ShadowScore(snap, before.logit).ok());
 
-  const MetricsSnapshot snap = metrics_.Snapshot();
-  EXPECT_EQ(snap.shadow_failures, 2u);
-  EXPECT_EQ(snap.shadow_scores, 0u);
+  const MetricsSnapshot metrics = metrics_.Snapshot();
+  EXPECT_EQ(metrics.shadow_failures, 1u);
+  EXPECT_EQ(metrics.shadow_scores, 1u);
 
   // The injected shadow death left the primary path untouched.
+  ASSERT_TRUE(shard
+                  .BeginSession(1, g.num_nodes(), g.feature_dim(),
+                                AllNodeFeatures(g), /*now=*/0.0)
+                  .ok());
+  FeedPrefix(shard, 1, g, static_cast<size_t>(g.num_edges()));
   ScoreResult after;
   ASSERT_TRUE(shard.Score(1, &after).ok());
   EXPECT_EQ(after.logit, before.logit);
+}
+
+TEST(SwapEngineTest, ShadowDeltaStaysZeroWhenEdgesArriveBeforeCollection) {
+  // Shadow with the primary's parameters: the shadow replays the same
+  // snapshot prefix the primary scored, so the delta is exactly 0 even when
+  // the session moves on between the Score and its collection.
+  EngineOptions options;
+  options.num_shards = 2;
+  options.max_batch = 4;
+  InferenceEngine engine(TinyServeConfig(), kPrimarySeed, options);
+  ASSERT_TRUE(engine.registry().Register("twin", kPrimarySeed).ok());
+  ASSERT_TRUE(engine.registry().SetShadow("twin").ok());
+  const graph::GraphDataset dataset = SwapDataset();
+  size_t scores = 0;
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    const graph::TemporalGraph& g = dataset[i].graph;
+    const uint64_t id = i + 1;
+    Event begin;
+    begin.kind = Event::Kind::kBegin;
+    begin.session_id = id;
+    begin.num_nodes = g.num_nodes();
+    begin.feature_dim = g.feature_dim();
+    begin.features = AllNodeFeatures(g);
+    ASSERT_TRUE(engine.Ingest(begin).ok());
+    for (size_t e = 0; e < g.edges().size(); ++e) {
+      Event edge;
+      edge.kind = Event::Kind::kEdge;
+      edge.session_id = id;
+      edge.src = g.edges()[e].src;
+      edge.dst = g.edges()[e].dst;
+      edge.edge_time = g.edges()[e].time;
+      ASSERT_TRUE(engine.Ingest(edge).ok());
+      if (e % 3 == 1) {
+        Event score;
+        score.kind = Event::Kind::kScore;
+        score.session_id = id;
+        ASSERT_TRUE(engine.Ingest(score).ok());
+        ++scores;
+      }
+    }
+  }
+  std::vector<ScoreResult> results;
+  engine.Flush(&results);
+  ASSERT_EQ(results.size(), scores);
+  const MetricsSnapshot snap = engine.metrics().Snapshot();
+  EXPECT_EQ(snap.shadow_scores, scores);
+  EXPECT_EQ(snap.shadow_failures, 0u);
+  EXPECT_EQ(snap.shadow_delta_max, 0.0);
+  EXPECT_EQ(snap.shadow_delta_sum, 0.0);
 }
 
 TEST_F(SwapTest, MigrationCarriesThePinnedVersionAcrossRegistries) {

@@ -1,11 +1,14 @@
 // Concurrency contracts of the tensor engine and the thread pool:
 // NoGradGuard is per-thread, ParallelFor is deterministic and exhaustive,
+// Post runs tasks on workers in FIFO order (nested ParallelFor inline),
 // and concurrent forward/backward over shared parameters is race-free when
 // gradients are redirected through ShadowGradScope. Run locally under
 // -fsanitize=thread to surface ordering bugs the assertions cannot.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -105,6 +108,83 @@ TEST(ParallelTest, NestedParallelForRunsInline) {
   });
   EXPECT_EQ(total.load(), 64);
   EXPECT_FALSE(ThreadPool::InWorker());
+}
+
+TEST(ParallelTest, PostRunsTasksOnWorkersInFifoOrder) {
+  // One worker, so FIFO start order is also completion order.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> order;
+  bool all_in_worker = true;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool any_on_caller = false;
+  constexpr int kTasks = 32;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Post([&, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      all_in_worker = all_in_worker && ThreadPool::InWorker();
+      any_on_caller = any_on_caller || std::this_thread::get_id() == caller;
+      order.push_back(i);
+      cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return order.size() == kTasks; });
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
+  EXPECT_TRUE(all_in_worker);
+  EXPECT_FALSE(any_on_caller);
+  EXPECT_FALSE(ThreadPool::InWorker());
+}
+
+TEST(ParallelTest, ParallelForNestedInAPostedTaskRunsInline) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  bool inline_only = true;
+  int64_t covered = 0;
+  pool.Post([&] {
+    const std::thread::id task_thread = std::this_thread::get_id();
+    bool same_thread = true;
+    int64_t count = 0;
+    pool.ParallelFor(0, 64, 1, [&](int64_t) {
+      same_thread = same_thread && std::this_thread::get_id() == task_thread;
+      ++count;  // Inline, so no race.
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    inline_only = same_thread;
+    covered = count;
+    done = true;
+    cv.notify_all();
+  });
+  // Meanwhile the caller's own ParallelFor still gets every index.
+  std::atomic<int> hits{0};
+  pool.ParallelFor(0, 100, 1, [&](int64_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 100);
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
+  EXPECT_TRUE(inline_only);
+  EXPECT_EQ(covered, 64);
+}
+
+TEST(ParallelTest, PostWithoutWorkersRunsInlineAndTeardownDrainsTasks) {
+  {
+    ThreadPool serial(1);
+    bool ran = false;
+    serial.Post([&] { ran = ThreadPool::InWorker(); });
+    EXPECT_TRUE(ran);  // Ran inline, before Post returned.
+  }
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(3);
+    for (int i = 0; i < 50; ++i) {
+      pool.Post([&] { ran.fetch_add(1); });
+    }
+  }  // Destruction runs whatever is still queued.
+  EXPECT_EQ(ran.load(), 50);
 }
 
 // Per-task reference gradients for loss = Sum(Tanh(x W)), each computed
