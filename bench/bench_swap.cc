@@ -20,7 +20,8 @@
 // enabled for the whole stream to price the off-hot-path re-score).
 //
 // Writes BENCH_swap.json (TPGNN_BENCH_SWAP_JSON); check_bench.py gates the
-// record with --require-zero mixed_version_scores. Scale knobs:
+// record, with mixed_version_scores pinned to zero in bench/trajectory.json.
+// Scale knobs:
 // TPGNN_SWAP_SESSIONS (default 96), TPGNN_SWAP_SHARDS (default 4),
 // TPGNN_SWAP_SCORE_EVERY (default 4 edges).
 //

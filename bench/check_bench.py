@@ -1,42 +1,32 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Compares freshly produced benchmark JSON against a checked-in baseline
-and exits nonzero when any throughput metric drops by more than the
-allowed fraction. Built for BENCH_serve.json (a list of objects keyed by
-"bench") but accepts any file in that shape, including a single top-level
-object (BENCH_net.json) and "driver"-keyed files (BENCH_parallel.json).
+Compares freshly produced BENCH_*.json files against the checked-in
+baselines and exits nonzero when a gated metric regresses by more than
+the allowed fraction. One invocation gates every file the repo tracks,
+with per-file metric lists read from a trajectory config:
 
-Single-file usage:
-  bench/check_bench.py --baseline BENCH_serve.json --current /tmp/new.json
-  bench/check_bench.py ... --max-drop 0.15 --metric events_per_second
-  bench/check_bench.py --baseline BENCH_plan.json --current /tmp/plan.json \
-      --metric speedup_planned_simd_vs_fused \
-      --require-zero buffer_allocs_per_edge
-
-Trajectory usage — one invocation gates every BENCH_*.json the repo
-tracks, with per-file metric lists read from a config:
   bench/check_bench.py --trajectory bench/trajectory.json \
       --baseline-dir . --current-dir build
   bench/check_bench.py --trajectory bench/trajectory.json \
-      --baseline-dir . --current-dir build --only BENCH_serve.json
+      --baseline-dir . --current-dir build --only BENCH_net.json
 
-Higher-is-better metrics are gated with --metric (default:
-events_per_second and scores_per_second); lower-is-better metrics (e.g.
-ns_per_edge) with --lower-metric, where an *increase* past --max-drop
-fails. --require-zero names a metric that must be exactly 0 in every
-current entry carrying it, regardless of the baseline (the planned
-executor's allocation-free contract, zero parity mismatches, zero soak
-invariant violations). Entries present in only one of the two files are
-reported but do not fail the gate — benchmarks come and go; losing a
-baseline row is a review concern, not a perf regression. Improvements
-are never failures.
+A file is a list of objects keyed by "bench" (or "driver"), or a single
+such object (BENCH_net.json). Per file, the config's `metrics` are
+higher-is-better, `lower_metrics` fail when the current value grows past
+the allowed fraction, and each `require_zero` metric must be exactly 0
+in every current entry carrying it, regardless of the baseline (the
+planned executor's allocation-free guarantee, zero parity mismatches,
+zero soak invariant violations). Entries present in only one of the two
+files are reported but do not fail the gate: benchmarks come and go, and
+losing a baseline row is a review concern, not a perf regression.
+Improvements are never failures.
 
-In trajectory mode a file listed in the config but missing from
---current-dir is noted and skipped (CI jobs each produce a subset);
-pass --only to make the named files mandatory. A --max-drop given on
-the command line overrides every per-file value in the config — CI
-runners are noisy and pass a looser value than the local defaults.
+A file listed in the config but missing from --current-dir is noted and
+skipped (CI jobs each produce a subset); pass --only to make the named
+files mandatory. A --max-drop given on the command line overrides every
+per-file value in the config: CI runners are noisy and pass a looser
+value than the local defaults.
 """
 
 import argparse
@@ -78,8 +68,7 @@ def gate_file(baseline_path, current_path, metrics, lower_metrics,
               require_zero, max_drop):
     """Gates one current file against one baseline file.
 
-    Returns (exit_code, compared) where exit_code is 0 on pass, 1 on a
-    regression, 2 when nothing was comparable.
+    Returns 0 on pass, 1 on a regression, 2 when nothing was comparable.
     """
     gated = [(m, True) for m in metrics]
     gated += [(m, False) for m in lower_metrics]
@@ -129,7 +118,7 @@ def gate_file(baseline_path, current_path, metrics, lower_metrics,
     if compared == 0:
         print("error: no comparable metrics between baseline and current",
               file=sys.stderr)
-        return 2, compared
+        return 2
     if failures or zero_failures:
         if failures:
             print(f"\n{len(failures)} metric(s) regressed more than "
@@ -142,9 +131,9 @@ def gate_file(baseline_path, current_path, metrics, lower_metrics,
                   f"must-be-zero contract:", file=sys.stderr)
             for key, metric, cur in zero_failures:
                 print(f"  {key} {metric}: {cur}", file=sys.stderr)
-        return 1, compared
+        return 1
     print(f"\nOK: {compared} metric comparisons within {max_drop:.0%}")
-    return 0, compared
+    return 0
 
 
 def run_trajectory(args):
@@ -184,11 +173,11 @@ def run_trajectory(args):
         max_drop = (args.max_drop if args.max_drop is not None
                     else spec.get("max_drop", 0.15))
         print(f"\n=== {name} (max drop {max_drop:.0%}) ===")
-        code, _ = gate_file(baseline_path, current_path,
-                            spec.get("metrics", []),
-                            spec.get("lower_metrics", []),
-                            spec.get("require_zero", []),
-                            max_drop)
+        code = gate_file(baseline_path, current_path,
+                         spec.get("metrics", []),
+                         spec.get("lower_metrics", []),
+                         spec.get("require_zero", []),
+                         max_drop)
         gated_any = True
         worst = max(worst, code)
     if not gated_any:
@@ -199,50 +188,20 @@ def run_trajectory(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", help="checked-in baseline JSON")
-    parser.add_argument("--current", help="freshly produced JSON to gate")
-    parser.add_argument("--trajectory",
+    parser.add_argument("--trajectory", required=True,
                         help="trajectory config (bench/trajectory.json); "
                              "gates every listed BENCH_*.json file")
     parser.add_argument("--baseline-dir", default=".",
-                        help="directory holding the checked-in baselines "
-                             "(trajectory mode)")
+                        help="directory holding the checked-in baselines")
     parser.add_argument("--current-dir", default=".",
-                        help="directory holding the fresh results "
-                             "(trajectory mode)")
+                        help="directory holding the fresh results")
     parser.add_argument("--only",
                         help="comma-separated file names from the config to "
-                             "gate; each becomes mandatory (trajectory mode)")
+                             "gate; each becomes mandatory")
     parser.add_argument("--max-drop", type=float, default=None,
-                        help="allowed fractional drop per metric (default "
-                             "0.15 = 15%%; in trajectory mode overrides "
-                             "every per-file value)")
-    parser.add_argument("--metric", action="append", default=None,
-                        help="higher-is-better metric to gate (repeatable; "
-                             "default: events_per_second, scores_per_second)")
-    parser.add_argument("--lower-metric", action="append", default=[],
-                        help="lower-is-better metric to gate (repeatable); "
-                             "fails when the current value grows past "
-                             "--max-drop relative to the baseline")
-    parser.add_argument("--require-zero", action="append", default=[],
-                        help="metric that must be exactly 0 in every current "
-                             "entry that carries it (repeatable)")
-    args = parser.parse_args()
-
-    if args.trajectory:
-        if args.baseline or args.current:
-            parser.error("--trajectory is exclusive with "
-                         "--baseline/--current")
-        return run_trajectory(args)
-
-    if not args.baseline or not args.current:
-        parser.error("--baseline and --current are required "
-                     "(or use --trajectory)")
-    metrics = args.metric or ["events_per_second", "scores_per_second"]
-    max_drop = args.max_drop if args.max_drop is not None else 0.15
-    code, _ = gate_file(args.baseline, args.current, metrics,
-                        args.lower_metric, args.require_zero, max_drop)
-    return code
+                        help="allowed fractional drop per metric; overrides "
+                             "every per-file value in the config")
+    return run_trajectory(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -14,10 +14,14 @@
 // `activate` drains by default (old sessions finish on their pinned
 // version); --rebase refolds live sessions onto the new primary at their
 // next touch. `status` prints the registry's JSON (per backend when
-// pointed at a router). Exits 0 on success, 1 with the server's typed
-// error on stderr otherwise.
+// pointed at a router). The whole command line is checked before anything
+// connects: a malformed port or fraction, an unknown flag, or a wrong
+// command shape prints usage to stderr and exits 2. Exits 0 on success, 1
+// with the server's typed error on stderr otherwise.
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,6 +44,77 @@ int Usage() {
   return 2;
 }
 
+// A TCP port in [1, 65535], spelled as a whole decimal number.
+bool ParsePort(const std::string& text, int* port) {
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno != 0 || value < 1 ||
+      value > 65535) {
+    return false;
+  }
+  *port = static_cast<int>(value);
+  return true;
+}
+
+// A fraction in [0, 1], spelled as a whole decimal number.
+bool ParseFraction(const std::string& text, double* fraction) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno != 0 || !(value >= 0.0) ||
+      value > 1.0) {
+    return false;
+  }
+  *fraction = value;
+  return true;
+}
+
+// One admin request, fully checked before any connection is made.
+struct Request {
+  std::string command;
+  std::string name;
+  std::string path;
+  net::ModelAdminMode mode = net::ModelAdminMode::kActivateDrain;
+  double fraction = 0.0;
+};
+
+// Fills `*request` from the positional arguments; false when their shape
+// matches no command.
+bool ParseRequest(const std::vector<std::string>& args, Request* request) {
+  const size_t n = args.size();
+  if (n == 0) return false;
+  request->command = args[0];
+  if (n >= 2) request->name = args[1];
+  const std::string& command = args[0];
+  if (command == "load" && n == 3) {
+    request->path = args[2];
+    return true;
+  }
+  if (command == "activate" && (n == 2 || (n == 3 && args[2] == "--rebase"))) {
+    request->mode = n == 3 ? net::ModelAdminMode::kActivateRebase
+                           : net::ModelAdminMode::kActivateDrain;
+    return true;
+  }
+  if (command == "candidate" && n == 3) {
+    request->mode = net::ModelAdminMode::kSetCandidate;
+    return ParseFraction(args[2], &request->fraction);
+  }
+  if (command == "shadow" && n == 2) {
+    request->mode = net::ModelAdminMode::kSetShadow;
+    return true;
+  }
+  if (command == "clear-candidate" && n == 1) {
+    request->mode = net::ModelAdminMode::kClearCandidate;
+    return true;
+  }
+  if (command == "clear-shadow" && n == 1) {
+    request->mode = net::ModelAdminMode::kClearShadow;
+    return true;
+  }
+  return command == "status" && n == 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,12 +125,15 @@ int main(int argc, char** argv) {
     if (arg.rfind("--host=", 0) == 0) {
       options.host = arg.substr(7);
     } else if (arg.rfind("--port=", 0) == 0) {
-      options.port = std::stoi(arg.substr(7));
+      if (!ParsePort(arg.substr(7), &options.port)) return Usage();
+    } else if (arg.rfind("--", 0) == 0 && arg != "--rebase") {
+      return Usage();
     } else {
       args.push_back(arg);
     }
   }
-  if (options.port == 0 || args.empty()) return Usage();
+  Request request;
+  if (options.port == 0 || !ParseRequest(args, &request)) return Usage();
 
   net::Client client(options);
   tpgnn::Status status = client.Connect();
@@ -65,37 +143,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string& command = args[0];
   std::string json;
-  if (command == "load" && args.size() == 3) {
-    status = client.ModelLoad(args[1], args[2]);
-  } else if (command == "activate" &&
-             (args.size() == 2 ||
-              (args.size() == 3 && args[2] == "--rebase"))) {
-    status = client.ModelActivate(
-        args[1], args.size() == 3 ? net::ModelAdminMode::kActivateRebase
-                                  : net::ModelAdminMode::kActivateDrain);
-  } else if (command == "candidate" && args.size() == 3) {
-    status = client.ModelActivate(args[1], net::ModelAdminMode::kSetCandidate,
-                                  std::stod(args[2]));
-  } else if (command == "shadow" && args.size() == 2) {
-    status = client.ModelActivate(args[1], net::ModelAdminMode::kSetShadow);
-  } else if (command == "clear-candidate" && args.size() == 1) {
-    status = client.ModelActivate("", net::ModelAdminMode::kClearCandidate);
-  } else if (command == "clear-shadow" && args.size() == 1) {
-    status = client.ModelActivate("", net::ModelAdminMode::kClearShadow);
-  } else if (command == "status" && args.size() == 1) {
+  if (request.command == "load") {
+    status = client.ModelLoad(request.name, request.path);
+  } else if (request.command == "status") {
     status = client.ModelStatus(&json);
   } else {
-    return Usage();
+    status = client.ModelActivate(request.name, request.mode, request.fraction);
   }
 
   if (!status.ok()) {
-    std::fprintf(stderr, "%s: %s\n", command.c_str(),
+    std::fprintf(stderr, "%s: %s\n", request.command.c_str(),
                  status.ToString().c_str());
     return 1;
   }
-  if (command == "status") {
+  if (request.command == "status") {
     std::printf("%s\n", json.c_str());
   } else {
     std::printf("ok\n");

@@ -9,7 +9,10 @@
 //   * every successful score is bit-identical to the fault-free in-process
 //     reference (the prefix table of loopback_parity_test);
 //   * serve::Metrics error counters equal the injected-fault fire counts
-//     exactly — no fault vanishes, none is double-counted.
+//     exactly — no fault vanishes, none is double-counted;
+//   * on a TimeBasis::kInvariant model, state_refolds counts exactly the
+//     injected rescale fallbacks and state_rescales exactly the max-time
+//     moves the successful scores absorbed.
 //
 // Determinism: with a fixed failpoint seed the fire schedule is a pure
 // function of per-site evaluation indices, so single-threaded replays are
@@ -17,12 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/config.h"
 #include "data/datasets.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -69,12 +74,14 @@ struct PrefixScore {
 // (session_id, edges ingested at scoring time) -> fault-free score.
 using PrefixTable = std::map<std::pair<uint64_t, int64_t>, PrefixScore>;
 
-// Fault-free ground truth: must run with no failpoints installed.
-void BuildPrefixTable(const std::vector<serve::Event>& events,
-                      PrefixTable* table) {
+// Fault-free ground truth for the model `config` describes: must run with
+// no failpoints installed.
+void BuildPrefixTable(
+    const std::vector<serve::Event>& events, PrefixTable* table,
+    const core::TpGnnConfig& config = serve::TinyServeConfig()) {
   ASSERT_EQ(failpoint::ActiveCount(), 0u)
       << "reference table must be built fault-free";
-  serve::InferenceEngine engine(serve::TinyServeConfig(), kSeed, {});
+  serve::InferenceEngine engine(config, kSeed, {});
   std::map<uint64_t, int64_t> edges_seen;
   std::vector<serve::ScoreResult> results;
 
@@ -440,6 +447,115 @@ TEST_F(ChaosTest, SweepAllFaultFamiliesAcrossSeeds) {
     (void)recv;
     (void)send;
     (void)recv_some;
+  }
+}
+
+// The replay of the shard's rescale accounting: a successful score counts
+// one state_rescale when the previous successful score of its session
+// finalized a nonempty prefix at a different max edge time. Which scores
+// succeeded is all that matters, so the count is exact under any fault
+// schedule.
+uint64_t ReplayRescales(const std::vector<serve::Event>& events,
+                        const std::vector<serve::ScoreResult>& results) {
+  // (session_id, edges ingested) -> max edge time over that prefix.
+  std::map<std::pair<uint64_t, int64_t>, double> prefix_max;
+  std::map<uint64_t, int64_t> edges_seen;
+  std::map<uint64_t, double> running_max;
+  for (const serve::Event& event : events) {
+    if (event.kind == serve::Event::Kind::kEdge) {
+      double& max_time = running_max[event.session_id];
+      max_time = std::max(max_time, event.edge_time);
+      prefix_max[{event.session_id, ++edges_seen[event.session_id]}] =
+          max_time;
+    }
+  }
+  std::map<uint64_t, std::vector<int64_t>> ok_prefixes;
+  for (const serve::ScoreResult& result : results) {
+    if (result.status.ok()) {
+      ok_prefixes[result.session_id].push_back(result.edges_scored);
+    }
+  }
+  uint64_t rescales = 0;
+  for (auto& [session_id, prefixes] : ok_prefixes) {
+    std::sort(prefixes.begin(), prefixes.end());
+    bool finalized = false;
+    double finalized_max = 0.0;
+    for (const int64_t edges : prefixes) {
+      const auto it = prefix_max.find({session_id, edges});
+      if (it == prefix_max.end()) {
+        continue;  // An empty prefix finalizes no fold.
+      }
+      if (finalized && finalized_max != it->second) {
+        ++rescales;
+      }
+      finalized = true;
+      finalized_max = it->second;
+    }
+  }
+  return rescales;
+}
+
+// Every fault family that keeps exactly-once intact, at once, over TCP to
+// an invariant-basis model. Replayed streams are chronological per session,
+// so that model never refolds on its own: every state_refold must come from
+// a shard.rescale fire, which discards both folded components of the SUM
+// updater (node state x and time accumulator m), and every max-time move a
+// successful score absorbs must count as a state_rescale. TPGNN_CHAOS_SEED
+// narrows the run to one failpoint seed.
+TEST_F(ChaosTest, RefoldAndRescaleCountsAttributeToInjectedFires) {
+  constexpr char kFaults[] =
+      "net.recv=0.15:short_io:7,net.send=0.15:short_io:5,"
+      "net.send_all=0.1:short_io:9,net.recv_some=0.1:short_io:11,"
+      "server.dispatch=0.02:delay:200,pool.acquire=0.2:alloc_fail,"
+      "engine.score_enqueue=0.05:return_error,shard.begin=0.1:return_error,"
+      "shard.score=0.05:return_error,shard.rescale=0.1:return_error";
+  constexpr uint64_t kFoldedComponents = 2;
+  core::TpGnnConfig config = serve::TinyServeConfig();
+  config.time_basis = core::TimeBasis::kInvariant;
+
+  graph::GraphDataset dataset =
+      data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/19);
+  serve::EventReplayer replayer = MakeReplayer(dataset);
+  PrefixTable table;
+  BuildPrefixTable(replayer.events(), &table, config);
+
+  std::vector<uint64_t> seeds = {101, 102, 103};
+  if (const int64_t env = GetEnvInt("TPGNN_CHAOS_SEED", -1); env >= 0) {
+    seeds = {static_cast<uint64_t>(env)};
+  }
+
+  for (const uint64_t seed : seeds) {
+    SCOPED_TRACE("chaos seed " + std::to_string(seed));
+    ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed, config);
+    failpoint::ResetCounters();
+    failpoint::SetSeed(seed);
+    ASSERT_TRUE(failpoint::InstallFromSpecString(kFaults).ok());
+
+    Client client(harness.client_options());
+    ASSERT_TRUE(client.Connect().ok());
+    { Status st = client.IngestAll(replayer.events()); ASSERT_TRUE(st.ok()) << st.ToString(); }
+    { Status st = client.DrainResults(); ASSERT_TRUE(st.ok()) << st.ToString(); }
+    // Disarm before reading the counters so the accounting is frozen.
+    failpoint::ClearAll();
+    const std::vector<serve::ScoreResult> results = client.TakeResults();
+
+    size_t failed = 0;
+    CheckResults(table, results, replayer.num_score_requests(), "shard.score",
+                 &failed);
+    const uint64_t score_fires = failpoint::FireCount("shard.score");
+    const uint64_t rescale_fires = failpoint::FireCount("shard.rescale");
+    EXPECT_GT(score_fires, 0u);
+    EXPECT_GT(rescale_fires, 0u);
+    const serve::Metrics& metrics = harness.engine().metrics();
+    EXPECT_EQ(failed, score_fires);
+    EXPECT_EQ(metrics.scores_failed.load(), score_fires);
+    EXPECT_EQ(metrics.overload_rejections.load(),
+              failpoint::FireCount("engine.score_enqueue") +
+                  failpoint::FireCount("shard.begin"));
+    EXPECT_EQ(metrics.protocol_errors.load(), 0u);
+    EXPECT_EQ(metrics.state_refolds.load(), kFoldedComponents * rescale_fires);
+    EXPECT_EQ(metrics.state_rescales.load(),
+              ReplayRescales(replayer.events(), results));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/config.h"
 #include "graph/temporal_graph.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -59,15 +60,17 @@ inline serve::Event EndEvent(uint64_t id) {
   return e;
 }
 
-// A live server on 127.0.0.1:<ephemeral> backed by its own engine, with the
-// poll loop on a background thread. Stop() (or the destructor) requests a
-// graceful shutdown and joins.
+// A live server on 127.0.0.1:<ephemeral> backed by its own engine (the tiny
+// serving model unless `config` says otherwise), with the poll loop on a
+// background thread. Stop() (or the destructor) requests a graceful
+// shutdown and joins.
 class ServerHarness {
  public:
-  explicit ServerHarness(const serve::EngineOptions& engine_options = {},
-                         ServerOptions server_options = {},
-                         uint64_t seed = 5)
-      : engine_(serve::TinyServeConfig(), seed, engine_options) {
+  explicit ServerHarness(
+      const serve::EngineOptions& engine_options = {},
+      ServerOptions server_options = {}, uint64_t seed = 5,
+      const core::TpGnnConfig& config = serve::TinyServeConfig())
+      : engine_(config, seed, engine_options) {
     server_options.port = 0;
     server_ = std::make_unique<Server>(&engine_, server_options);
     Status status = server_->Start();
